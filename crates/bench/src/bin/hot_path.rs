@@ -4,12 +4,12 @@
 //! Two questions, answered with the [`validation_checks`] counter hook and
 //! wall-clock timing:
 //!
-//! 1. **Validations per update.**  The pre-refactor ingest pipeline checked
-//!    each update three times (`UpdateBatch::new` → session staging → the
-//!    validating `apply_batch`); the serve path now mints one
-//!    `ValidatedBatch` proof per batch in the drain and discharges it on the
-//!    trusted kernel path.  Both shapes are driven over the same workload and
-//!    their counter deltas recorded.
+//! 1. **Validations per update.**  The legacy ingest shape checks each update
+//!    three times (`UpdateBatch::new` → a standalone `validate_batch` → the
+//!    validating `apply_batch`), as the pre-refactor pipeline did; the serve
+//!    path mints one `ValidatedBatch` proof per batch in the drain and
+//!    discharges it on the trusted kernel path.  Both shapes are driven over
+//!    the same workload and their counter deltas recorded.
 //! 2. **Publish cost.**  Snapshot publishing is an incremental index sync
 //!    plus flat clones, so `with_snapshot_every(1)` (a fresh snapshot after
 //!    *every* commit) must cost within 2× of `with_snapshot_every(1000)`
@@ -27,7 +27,7 @@
 //!
 //! [`validation_checks`]: pdmm::engine::validation_checks
 
-use pdmm::engine::{self, validation_checks, BatchSession};
+use pdmm::engine::{self, validate_batch, validation_checks};
 use pdmm::prelude::*;
 use std::time::Instant;
 
@@ -58,8 +58,8 @@ fn engine(config: &BenchConfig) -> Box<dyn MatchingEngine + Send> {
     engine::build(EngineKind::Parallel, &builder)
 }
 
-/// Counter delta per update for the pre-refactor ingest shape: construct a
-/// validated batch, stage it through a session, commit through the
+/// Counter delta per update for the legacy ingest shape: construct a
+/// validated batch, validate it against the engine, commit through the
 /// *validating* `apply_batch` — three ledger passes per update.
 fn legacy_checks_per_update(config: &BenchConfig) -> f64 {
     let workload = workload(config);
@@ -67,11 +67,13 @@ fn legacy_checks_per_update(config: &BenchConfig) -> f64 {
     let before = validation_checks();
     for batch in &workload.batches {
         let sealed = UpdateBatch::new(batch.updates().to_vec()).expect("workload is valid");
-        let mut session = BatchSession::new(engine.as_mut());
-        session
-            .stage_all(sealed.iter().cloned())
-            .expect("valid batches stage");
-        session.abort();
+        validate_batch(
+            &sealed,
+            |id| engine.contains_edge(id),
+            engine.max_rank(),
+            engine.num_vertices(),
+        )
+        .expect("valid batches validate");
         engine
             .apply_batch(sealed.updates())
             .expect("valid batches commit");

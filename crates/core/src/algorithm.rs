@@ -23,9 +23,8 @@ use crate::persist;
 use crate::settle::{process_level, release_bucket_and_remove};
 use crate::state::MatcherState;
 use pdmm_hypergraph::engine::{
-    run_batch, run_batch_trusted, BatchError, BatchKernel, BatchReport, EngineBuilder,
-    EngineMetrics, EnginePool, KernelOutcome, MatchingEngine, MatchingIter, RepairError,
-    StateError, UpdateCounters, ValidatedBatch,
+    EngineBuilder, EngineMetrics, EnginePool, KernelOutcome, MatchingEngine, MatchingIter,
+    RepairError, StateError, UpdateCounters, ValidatedBatch,
 };
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
@@ -36,7 +35,7 @@ use rustc_hash::FxHashSet;
 /// (Ghaffari–Trygub, SPAA 2024).
 ///
 /// ```
-/// use pdmm_core::{EngineBuilder, ParallelDynamicMatching};
+/// use pdmm_core::{EngineBuilder, MatchingEngine, ParallelDynamicMatching};
 /// use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 ///
 /// let mut matcher =
@@ -72,8 +71,8 @@ impl ParallelDynamicMatching {
     /// Creates the algorithm from the engine-agnostic builder (the canonical
     /// constructor; `new` remains for algorithm-specific `Config` knobs).
     ///
-    /// `builder.threads` bounds the worker pool all parallel phases of
-    /// `apply_batch` run on; unset, the process-global pool is used.
+    /// `builder.threads` bounds the worker pool all parallel phases of the
+    /// batch kernel run on; unset, the process-global pool is used.
     #[must_use]
     pub fn from_builder(builder: &EngineBuilder) -> Self {
         ParallelDynamicMatching {
@@ -170,37 +169,9 @@ impl ParallelDynamicMatching {
         invariants::check_all(&self.state)
     }
 
-    /// Processes one batch of simultaneous updates and returns a cost report.
-    ///
-    /// The batch is validated up front; on error nothing was applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BatchError`] if a deletion names an unknown edge, an insertion
-    /// reuses a live id, or an inserted edge exceeds the configured maximum rank
-    /// or the vertex range.
-    pub fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-        // Run the shared scaffold (validation → kernel → counters → report) on
-        // the engine's pool so every parallel primitive beneath it (Luby
-        // matching, prefix sums, compaction, the parallel dictionary) is
-        // bounded by `EngineBuilder::threads`.
-        let pool = self.pool.clone();
-        pool.install(|| run_batch(self, updates))
-    }
-
-    /// Processes a pre-validated batch without re-checking legality — the
-    /// trusted half of the split `apply_batch` ([`ValidatedBatch`] is the
-    /// proof).  Runs on the engine's pool exactly like
-    /// [`ParallelDynamicMatching::apply_batch`].
-    pub fn apply_batch_trusted(&mut self, batch: ValidatedBatch<'_>) -> BatchReport {
-        let pool = self.pool.clone();
-        pool.install(|| run_batch_trusted(self, batch))
-    }
-}
-
-impl BatchKernel for ParallelDynamicMatching {
-    /// The §3.3 batch pipeline proper; runs with the engine's pool ambient.
-    fn run_kernel(&mut self, updates: &[Update]) -> KernelOutcome {
+    /// The §3.3 batch pipeline proper on a validated batch; runs with the
+    /// engine's pool ambient.
+    fn process_batch(&mut self, updates: &[Update]) -> KernelOutcome {
         let mut rebuilt = false;
         self.state.updates_since_rebuild += updates.len() as u64;
 
@@ -315,18 +286,6 @@ impl BatchKernel for ParallelDynamicMatching {
         }
     }
 
-    fn record_batch(&mut self, delta: &UpdateCounters) {
-        let metrics = &mut self.state.metrics;
-        metrics.batches += delta.batches;
-        metrics.updates += delta.updates;
-        metrics.insertions += delta.insertions;
-        metrics.deletions += delta.deletions;
-        metrics.matched_deletions += delta.matched_deletions;
-        metrics.rebuilds += delta.rebuilds;
-    }
-}
-
-impl ParallelDynamicMatching {
     /// §3.3.3: run the static parallel matcher over the inserted hyperedges whose
     /// endpoints are all free, place the newly matched ones (and their nodes) at
     /// level 0, and register every inserted hyperedge with its owner.
@@ -368,8 +327,8 @@ impl ParallelDynamicMatching {
 
     /// §3.2.1: doubles `N`, rebuilds every data structure from scratch, and
     /// recomputes the matching with the static parallel algorithm.  (The
-    /// `rebuilds` metric is counted by the shared scaffold via
-    /// [`BatchKernel::record_batch`].)
+    /// `rebuilds` metric is counted by the shared pipeline via
+    /// [`MatchingEngine::record_batch`].)
     fn rebuild(&mut self) {
         let needed = self.state.num_vertices() as u64 + self.state.updates_since_rebuild;
         let new_params = self.state.params.doubled(needed);
@@ -439,15 +398,22 @@ impl MatchingEngine for ParallelDynamicMatching {
         self.state.edges.contains_key(&id)
     }
 
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-        ParallelDynamicMatching::apply_batch(self, updates)
+    fn run_kernel(&mut self, batch: ValidatedBatch<'_>) -> KernelOutcome {
+        // Run the kernel on the engine's pool so every parallel primitive
+        // beneath it (Luby matching, prefix sums, compaction, the parallel
+        // dictionary) is bounded by `EngineBuilder::threads`.
+        let pool = self.pool.clone();
+        pool.install(|| self.process_batch(batch.updates()))
     }
 
-    fn apply_batch_trusted(
-        &mut self,
-        batch: ValidatedBatch<'_>,
-    ) -> Result<BatchReport, BatchError> {
-        Ok(ParallelDynamicMatching::apply_batch_trusted(self, batch))
+    fn record_batch(&mut self, delta: &UpdateCounters) {
+        let metrics = &mut self.state.metrics;
+        metrics.batches += delta.batches;
+        metrics.updates += delta.updates;
+        metrics.insertions += delta.insertions;
+        metrics.deletions += delta.deletions;
+        metrics.matched_deletions += delta.matched_deletions;
+        metrics.rebuilds += delta.rebuilds;
     }
 
     fn matching(&self) -> MatchingIter<'_> {
@@ -522,6 +488,7 @@ impl MatchingEngine for ParallelDynamicMatching {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdmm_hypergraph::engine::BatchError;
     use pdmm_hypergraph::generators::gnm_graph;
     use pdmm_hypergraph::graph::DynamicHypergraph;
     use pdmm_hypergraph::matching::verify_maximality;

@@ -57,11 +57,16 @@
 //! let err = matcher.apply_batch(&[Update::Delete(EdgeId(99))]);
 //! assert!(err.is_err());
 //!
-//! // Staged ingestion deduplicates and validates before anything is applied.
-//! let mut session = matcher.begin_batch();
-//! session.stage(Update::Delete(EdgeId(1))).unwrap();
-//! assert!(!session.stage(Update::Delete(EdgeId(1))).unwrap()); // deduplicated
-//! session.commit().unwrap();
+//! // The lossy path sifts a dirty batch: repeats are dropped, invalid updates
+//! // are reported, and the surviving subset commits.
+//! let report = matcher.apply_batch_lossy(&[
+//!     Update::Delete(EdgeId(1)),
+//!     Update::Delete(EdgeId(1)), // deduplicated
+//!     Update::Delete(EdgeId(99)), // rejected: unknown edge
+//! ]);
+//! assert_eq!(report.batch.batch_size, 1);
+//! assert_eq!(report.deduplicated, 1);
+//! assert_eq!(report.rejected.len(), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -79,5 +84,5 @@ pub use algorithm::ParallelDynamicMatching;
 pub use config::{Config, LevelingParams};
 pub use metrics::{LevelStats, Metrics};
 pub use pdmm_hypergraph::engine::{
-    BatchError, BatchReport, BatchSession, EngineBuilder, EngineMetrics, MatchingEngine,
+    BatchError, BatchReport, EngineBuilder, EngineMetrics, MatchingEngine,
 };

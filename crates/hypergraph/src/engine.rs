@@ -5,13 +5,18 @@
 //! module is the contract that makes that comparison honest: every implementation
 //! in the workspace — the paper's algorithm (`pdmm-core`), the three sequential
 //! baselines (`pdmm-seq-dynamic`), and the static-recompute adapter
-//! (`pdmm-static`) — is driven through the [`MatchingEngine`] trait, configured
-//! through the [`EngineBuilder`], and fed batches through the staged
-//! [`BatchSession`] API, so the harness, the conformance tests, and user code all
-//! exercise exactly the same code paths.
+//! (`pdmm-static`) — is driven through the [`MatchingEngine`] trait and
+//! configured through the [`EngineBuilder`], so the harness, the conformance
+//! tests, and user code all exercise exactly the same code paths.
 //!
 //! Design points:
 //!
+//! * **One batch pipeline** — every ingest path ends in the same two steps:
+//!   [`MatchingEngine::validate`] mints a sealed [`ValidatedBatch`] proof, and
+//!   [`MatchingEngine::apply_batch_trusted`] discharges it into the engine's
+//!   [`MatchingEngine::run_kernel`].  [`MatchingEngine::apply_batch`] is those
+//!   two steps back to back; the lossy [`MatchingEngine::apply_batch_lossy`]
+//!   is one [`BatchLedger::sift`] followed by the same trusted apply.
 //! * **Typed errors** — invalid batches (duplicate ids, rank violations, unknown
 //!   deletions, out-of-range endpoints) return a [`BatchError`] instead of
 //!   panicking, and an engine rejects the *whole* batch before mutating anything.
@@ -19,9 +24,6 @@
 //!   matching straight out of the engine's internal tables ([`MatchingIter`]
 //!   borrows the engine; no `Vec` is materialised unless the caller asks with
 //!   [`MatchingEngine::matching_ids`]).
-//! * **Staged ingestion** — [`MatchingEngine::begin_batch`] opens a
-//!   [`BatchSession`] that validates and deduplicates updates *before* they are
-//!   applied, the shape a production ingest path needs.
 
 use crate::types::{EdgeId, Update, UpdateBatch, VertexId};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -582,8 +584,9 @@ pub fn read_state_graph(
 
 /// Summary of one successfully applied batch.
 ///
-/// Every engine produces one through the shared [`run_batch`] scaffold, so the
-/// fields mean the same thing regardless of which engine filled them in.
+/// Every engine produces one through the shared
+/// [`MatchingEngine::apply_batch_trusted`] pipeline, so the fields mean the
+/// same thing regardless of which engine filled them in.
 ///
 /// ```
 /// use pdmm::engine::{self, EngineBuilder, EngineKind};
@@ -665,8 +668,8 @@ impl EngineMetrics {
     }
 
     /// Field-wise difference between two metric snapshots (`self` taken after
-    /// `earlier`).  The shared [`run_batch`] scaffold uses this to derive the
-    /// per-batch delta reported in [`BatchReport::metrics`].
+    /// `earlier`).  [`MatchingEngine::apply_batch_trusted`] uses this to derive
+    /// the per-batch delta reported in [`BatchReport::metrics`].
     ///
     /// ```
     /// use pdmm_hypergraph::engine::EngineMetrics;
@@ -717,8 +720,8 @@ impl EngineMetrics {
 }
 
 /// Per-batch update counters shared by the baseline engines, and the shape of
-/// the per-batch delta the [`run_batch`] scaffold hands to
-/// [`BatchKernel::record_batch`].
+/// the per-batch delta [`MatchingEngine::apply_batch_trusted`] hands to
+/// [`MatchingEngine::record_batch`].
 ///
 /// (`pdmm-core` derives the same numbers from its richer §4.2 metrics.)
 ///
@@ -764,8 +767,8 @@ impl UpdateCounters {
         }
     }
 
-    /// Adds a per-batch delta (produced by the [`run_batch`] scaffold) into
-    /// these lifetime counters.
+    /// Adds a per-batch delta (produced by
+    /// [`MatchingEngine::apply_batch_trusted`]) into these lifetime counters.
     ///
     /// ```
     /// use pdmm_hypergraph::engine::UpdateCounters;
@@ -786,12 +789,12 @@ impl UpdateCounters {
     }
 }
 
-/// One update refused by a skip-and-report (lossy) ingest session, together
-/// with the typed reason.
+/// One update refused by a skip-and-report (lossy) ingest, together with the
+/// typed reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RejectedUpdate {
     /// Position of the update in the submission order (counting every update
-    /// offered to the session, including deduplicated and rejected ones).
+    /// offered, including deduplicated and rejected ones).
     pub index: usize,
     /// The refused update.
     pub update: Update,
@@ -802,14 +805,14 @@ pub struct RejectedUpdate {
 /// Report of one skip-and-report (lossy) ingest: what was committed, what was
 /// silently deduplicated, and what was rejected with which error.
 ///
-/// Produced by [`BatchSession::commit_lossy`] and
-/// [`MatchingEngine::apply_batch_lossy`] — the ingest-pipeline recovery path
-/// where a dirty stream must not poison the whole batch.
+/// Produced by [`MatchingEngine::apply_batch_lossy`] and the serve path's
+/// lossy drains — the ingest-pipeline recovery path where a dirty stream must
+/// not poison the whole batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestReport {
     /// Report of the committed batch (the surviving subset of the updates).
     pub batch: BatchReport,
-    /// Exact duplicates silently dropped during staging (not errors).
+    /// Exact duplicates silently dropped by the sift (not errors).
     pub deduplicated: usize,
     /// Per-update rejections, in submission order.
     pub rejected: Vec<RejectedUpdate>,
@@ -929,18 +932,23 @@ pub trait MatchingEngine {
     /// of view — edges the algorithm has only *temporarily* deleted are live).
     fn contains_edge(&self, id: EdgeId) -> bool;
 
-    /// Applies one batch of simultaneous updates and restores maximality.
+    /// The engine's kernel: applies one validated, non-empty batch and
+    /// restores maximality.
     ///
-    /// The batch is validated as a whole first; on error nothing was applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`BatchError`] found in the batch.
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError>;
+    /// The proof guarantees deletions name live edges and insertions carry
+    /// fresh ids, so kernels never re-check legality.  Callers go through
+    /// [`MatchingEngine::apply_batch_trusted`], which owns the bookkeeping
+    /// around this call (empty-batch no-op, counters, [`BatchReport`]).
+    fn run_kernel(&mut self, batch: ValidatedBatch<'_>) -> KernelOutcome;
+
+    /// Folds a per-batch counter delta into the engine's lifetime counters
+    /// (baselines: [`UpdateCounters::merge`]; the parallel algorithm updates
+    /// its richer §4.2 metrics).
+    fn record_batch(&mut self, delta: &UpdateCounters);
 
     /// Validates `updates` against this engine's live state and mints the
-    /// [`ValidatedBatch`] proof — the one legality pass of the trusted hot
-    /// path.  Discharge the proof with
+    /// [`ValidatedBatch`] proof — the one legality pass of the batch
+    /// pipeline.  Discharge the proof with
     /// [`MatchingEngine::apply_batch_trusted`] before the engine changes.
     ///
     /// # Errors
@@ -955,24 +963,115 @@ pub trait MatchingEngine {
         )
     }
 
-    /// Applies a batch that already carries its validation proof, skipping
-    /// the whole-batch validation pass [`MatchingEngine::apply_batch`] would
-    /// run.
+    /// Applies one batch of simultaneous updates and restores maximality:
+    /// [`MatchingEngine::validate`], then
+    /// [`MatchingEngine::apply_batch_trusted`].
     ///
-    /// Every in-tree engine overrides this with [`run_batch_trusted`]; the
-    /// provided default conservatively **revalidates** through
-    /// [`MatchingEngine::apply_batch`], so an external engine that has not
-    /// opted in stays correct (just not single-validation).
+    /// Invalid batches are refused **atomically** with the first
+    /// [`BatchError`] in batch order; the kernel only ever sees valid batches.
     ///
     /// # Errors
     ///
-    /// Cannot fire for engines routed through [`run_batch_trusted`]; the
-    /// revalidating default propagates [`MatchingEngine::apply_batch`].
-    fn apply_batch_trusted(
-        &mut self,
-        batch: ValidatedBatch<'_>,
-    ) -> Result<BatchReport, BatchError> {
-        self.apply_batch(batch.updates())
+    /// Returns the first [`BatchError`] found in the batch; nothing was
+    /// applied.
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
+        let proven = self.validate(updates)?;
+        Ok(self.apply_batch_trusted(proven))
+    }
+
+    /// Discharges a [`ValidatedBatch`] proof into the engine's kernel with
+    /// **no** validation pass — the trusted half of the pipeline, and where
+    /// every ingest path lands.
+    ///
+    /// * The empty batch is a true no-op: a report with `batch_size == 0`,
+    ///   the current matching size, and a zeroed metrics delta, and **no**
+    ///   lifetime counter is mutated.
+    /// * [`BatchReport::metrics`] is the exact [`EngineMetrics`] delta of this
+    ///   batch, so every engine reports its per-batch costs uniformly.
+    ///
+    /// Infallible by construction: the proof certifies the batch.  It is
+    /// consumed, so one proof is discharged at most once.
+    fn apply_batch_trusted(&mut self, batch: ValidatedBatch<'_>) -> BatchReport {
+        let updates = batch.updates();
+        if updates.is_empty() {
+            return BatchReport {
+                matching_size: self.matching_size(),
+                ..BatchReport::default()
+            };
+        }
+        let before = self.metrics();
+        let outcome = self.run_kernel(batch);
+        let insertions = updates.iter().filter(|u| u.is_insert()).count() as u64;
+        self.record_batch(&UpdateCounters {
+            batches: 1,
+            updates: updates.len() as u64,
+            insertions,
+            deletions: updates.len() as u64 - insertions,
+            matched_deletions: outcome.matched_deletions as u64,
+            rebuilds: u64::from(outcome.rebuilt),
+        });
+        let metrics = self.metrics().since(&before);
+        BatchReport {
+            batch_size: updates.len(),
+            depth: metrics.depth,
+            work: metrics.work,
+            matched_deletions: outcome.matched_deletions,
+            matching_size: self.matching_size(),
+            rebuilt: outcome.rebuilt,
+            metrics,
+        }
+    }
+
+    /// Applies the valid subset of `updates` as one batch, skipping (and
+    /// reporting) invalid or duplicate updates instead of rejecting the whole
+    /// batch — the ingest-pipeline recovery path.
+    ///
+    /// One [`BatchLedger::sift`] against the live engine splits the updates
+    /// into kept, deduplicated (exact repeats) and rejected; the kept subset
+    /// then goes through [`MatchingEngine::apply_batch_trusted`].  An input
+    /// with no surviving updates commits the empty batch, which is a
+    /// counter-neutral no-op.
+    ///
+    /// ```
+    /// use pdmm::engine::{self, BatchError, EngineBuilder, EngineKind};
+    /// use pdmm::prelude::*;
+    ///
+    /// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
+    /// let report = engine.apply_batch_lossy(&[
+    ///     Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))),
+    ///     Update::Delete(EdgeId(7)), // unknown: skipped, not fatal
+    /// ]);
+    /// assert_eq!(report.batch.batch_size, 1);
+    /// assert_eq!(report.rejected.len(), 1);
+    /// assert_eq!(report.rejected[0].error, BatchError::UnknownDeletion { id: EdgeId(7) });
+    /// assert_eq!(engine.matching_size(), 1);
+    /// ```
+    fn apply_batch_lossy(&mut self, updates: &[Update]) -> IngestReport {
+        let sifted = BatchLedger::sift(
+            updates.iter().cloned(),
+            |u| self.contains_edge(u.edge_id()),
+            self.max_rank(),
+            self.num_vertices(),
+        );
+        let batch = self.apply_batch_trusted(ValidatedBatch::presealed(&sifted.kept));
+        IngestReport {
+            batch,
+            deduplicated: sifted.deduplicated,
+            rejected: sifted.rejected,
+        }
+    }
+
+    /// Applies every batch of a workload in order.
+    ///
+    /// # Errors
+    ///
+    /// Stops at (and returns) the first invalid batch.
+    fn apply_all(&mut self, batches: &[UpdateBatch]) -> Result<Vec<BatchReport>, BatchError> {
+        let mut reports = Vec::with_capacity(batches.len());
+        for batch in batches {
+            reports.push(self.apply_batch(batch)?);
+        }
+        Ok(reports)
     }
 
     /// The current matching, iterated zero-copy out of the engine's state.
@@ -1069,78 +1168,6 @@ pub trait MatchingEngine {
             engine: self.name(),
         })
     }
-
-    /// Applies every batch of a workload in order.
-    ///
-    /// # Errors
-    ///
-    /// Stops at (and returns) the first invalid batch.
-    fn apply_all(&mut self, batches: &[UpdateBatch]) -> Result<Vec<BatchReport>, BatchError> {
-        let mut reports = Vec::with_capacity(batches.len());
-        for batch in batches {
-            reports.push(self.apply_batch(batch)?);
-        }
-        Ok(reports)
-    }
-
-    /// Opens a staged batch session: stage updates with validation and
-    /// deduplication, then commit them as one batch.
-    fn begin_batch(&mut self) -> BatchSession<'_, Self>
-    where
-        Self: Sized,
-    {
-        BatchSession::new(self)
-    }
-
-    /// Opens a skip-and-report session: invalid updates are collected with
-    /// their errors instead of refused, and [`BatchSession::commit_lossy`]
-    /// commits the surviving subset.
-    fn begin_batch_lossy(&mut self) -> BatchSession<'_, Self>
-    where
-        Self: Sized,
-    {
-        BatchSession::lossy(self)
-    }
-
-    /// Applies the valid subset of `updates` as one batch, skipping (and
-    /// reporting) invalid or duplicate updates instead of rejecting the whole
-    /// batch — the ingest-pipeline recovery path.
-    ///
-    /// Exactly the updates a strict [`BatchSession`] would stage are
-    /// committed; everything else lands in [`IngestReport::rejected`] (with
-    /// its typed error) or is counted in [`IngestReport::deduplicated`].
-    /// An input with no surviving updates commits the empty batch, which is a
-    /// counter-neutral no-op.
-    ///
-    /// ```
-    /// use pdmm::engine::{self, BatchError, EngineBuilder, EngineKind};
-    /// use pdmm::prelude::*;
-    ///
-    /// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
-    /// let report = engine
-    ///     .apply_batch_lossy(&[
-    ///         Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))),
-    ///         Update::Delete(EdgeId(7)), // unknown: skipped, not fatal
-    ///     ])
-    ///     .unwrap();
-    /// assert_eq!(report.batch.batch_size, 1);
-    /// assert_eq!(report.rejected.len(), 1);
-    /// assert_eq!(report.rejected[0].error, BatchError::UnknownDeletion { id: EdgeId(7) });
-    /// assert_eq!(engine.matching_size(), 1);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's own batch validation of the surviving subset,
-    /// which cannot fire for engines routed through [`run_batch`].
-    fn apply_batch_lossy(&mut self, updates: &[Update]) -> Result<IngestReport, BatchError> {
-        let mut session = BatchSession::lossy(self);
-        for update in updates {
-            // Lossy staging records rejections instead of returning them.
-            let _ = session.stage(update.clone());
-        }
-        session.commit_lossy()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1153,14 +1180,15 @@ static VALIDATION_CHECKS: AtomicU64 = AtomicU64::new(0);
 
 /// How many per-update legality checks this process has performed, lifetime.
 ///
-/// Every legality decision in the workspace — [`validate_batch`], staged
-/// [`BatchSession`]s, [`crate::types::UpdateBatch`] construction, the `io`
-/// parser, `net` admission — flows through the one [`BatchLedger::check`]
-/// machine, which bumps this counter once per update checked.  The counter is
-/// the observability hook behind the single-validation guarantee: the serve
-/// path ([`crate::service::EngineService::submit`] → `drain`) performs
-/// **exactly one** check per update, which the hot-path test suite and the
-/// `hot_path` bench assert by differencing this counter around a run.
+/// Every legality decision in the workspace — [`validate_batch`], lossy
+/// [`BatchLedger::sift`]s, [`crate::types::UpdateBatch`] construction, the
+/// `io` parser, `net` admission — flows through the one
+/// [`BatchLedger::check`] machine, which bumps this counter once per update
+/// checked.  The counter is the observability hook behind the
+/// single-validation guarantee: the serve path
+/// ([`crate::service::EngineService::submit`] → `drain` or `drain_lossy`)
+/// performs **exactly one** check per update, which the hot-path test suite
+/// and the `hot_path` bench assert by differencing this counter around a run.
 ///
 /// The counter is global and monotone (relaxed atomics; reads may interleave
 /// with concurrent checks), so measure on a quiescent process or difference
@@ -1176,24 +1204,27 @@ pub fn validation_checks() -> u64 {
 /// A `ValidatedBatch` can only be minted by paying exactly one
 /// [`BatchLedger`] pass: either through [`ValidatedBatch::new`] /
 /// [`MatchingEngine::validate`] (whole-batch validation against a live
-/// predicate) or — crate-internally — by a [`BatchSession`] whose staging
-/// already checked every update against the live engine.  The token inside is
-/// a zero-sized sealed witness with a private constructor, so the *type
-/// system*, not reviewer discipline, guarantees [`run_batch_trusted`] never
-/// sees an unvalidated update: there is no way to construct the proof without
-/// running the validator.
+/// predicate) or — crate-internally — from the kept updates of a
+/// [`BatchLedger::sift`] against the live engine.  The token inside is a
+/// zero-sized sealed witness with a private constructor, so the *type
+/// system*, not reviewer discipline, guarantees
+/// [`MatchingEngine::run_kernel`] never sees an unvalidated update: there is
+/// no way to construct the proof without running the validator.
 ///
 /// The proof certifies validity **against the engine state at mint time**.
 /// Discharge it before the engine changes (the in-tree callers mint and
 /// discharge under one commit lock, with nothing in between).
 ///
 /// ```
-/// use pdmm_hypergraph::engine::{run_batch_trusted, ValidatedBatch};
-/// # use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
+/// use pdmm::engine::{self, EngineBuilder, EngineKind};
+/// use pdmm::prelude::*;
+///
+/// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
 /// let updates = vec![Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1)))];
-/// let live = |_id: EdgeId| false;
-/// let proof = ValidatedBatch::new(&updates, live, 2, 10).unwrap();
+/// let proof = engine.validate(&updates).unwrap();
 /// assert_eq!(proof.len(), 1);
+/// let report = engine.apply_batch_trusted(proof);
+/// assert_eq!(report.matching_size, 1);
 /// ```
 ///
 /// The seal cannot be worked around — neither the struct nor its token can be
@@ -1206,7 +1237,22 @@ pub fn validation_checks() -> u64 {
 /// // ERROR: the proof field is private; validation cannot be skipped.
 /// let forged = ValidatedBatch { updates: &updates[..] };
 /// ```
-#[derive(Debug, Clone, Copy)]
+///
+/// … and a proof is consumed by its one discharge, so it cannot be replayed
+/// into a kernel whose state it no longer describes:
+///
+/// ```compile_fail,E0382
+/// use pdmm::engine::{self, EngineBuilder, EngineKind};
+/// use pdmm::prelude::*;
+///
+/// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
+/// let updates = vec![Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1)))];
+/// let proof = engine.validate(&updates).unwrap();
+/// engine.apply_batch_trusted(proof);
+/// // ERROR: use of moved value — the proof was discharged above.
+/// engine.apply_batch_trusted(proof);
+/// ```
+#[derive(Debug)]
 pub struct ValidatedBatch<'a> {
     updates: &'a [Update],
     /// The sealed witness: only this module can produce one.
@@ -1222,7 +1268,7 @@ pub struct ValidatedBatch<'a> {
 /// // ERROR: the field is private — proofs are minted, never forged.
 /// let forged = ValidationToken { _sealed: () };
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct ValidationToken {
     _sealed: (),
 }
@@ -1241,18 +1287,15 @@ impl<'a> ValidatedBatch<'a> {
         num_vertices: usize,
     ) -> Result<Self, BatchError> {
         validate_batch(updates, is_live, max_rank, num_vertices)?;
-        Ok(ValidatedBatch {
-            updates,
-            _proof: ValidationToken { _sealed: () },
-        })
+        Ok(ValidatedBatch::presealed(updates))
     }
 
     /// Crate-internal mint for updates whose per-update checks already ran
     /// through the same [`BatchLedger`] machine against the live engine — the
-    /// [`BatchSession`] commit path.  Callers must hold the invariant that a
-    /// whole-batch [`validate_batch`] of `updates` would succeed (sessions do:
-    /// staging checks each update against the live engine and the ledger, and
-    /// deduplication only ever *removes* repeats).
+    /// kept updates of a [`BatchLedger::sift`].  Callers must hold the
+    /// invariant that a whole-batch [`validate_batch`] of `updates` would
+    /// succeed (a sift's kept updates do: each was checked against the live
+    /// engine and the ledger of the updates kept before it).
     pub(crate) fn presealed(updates: &'a [Update]) -> Self {
         ValidatedBatch {
             updates,
@@ -1279,7 +1322,8 @@ impl<'a> ValidatedBatch<'a> {
     }
 }
 
-/// What an engine's recompute/repair kernel reports back to [`run_batch`].
+/// What an engine's kernel ([`MatchingEngine::run_kernel`]) reports back to
+/// the batch pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelOutcome {
     /// Deletions in this batch that removed a matched edge.
@@ -1290,114 +1334,17 @@ pub struct KernelOutcome {
     pub rebuilt: bool,
 }
 
-/// The per-engine kernel driven by the shared [`run_batch`] batch pipeline.
-///
-/// [`run_batch`] owns everything the engines' `apply_batch` implementations
-/// used to copy-paste: whole-batch validation, empty-batch short-circuiting,
-/// lifetime-counter bookkeeping, matched-deletion accounting, per-batch
-/// [`EngineMetrics`] deltas, and [`BatchReport`] assembly.  An engine supplies
-/// only its recompute/repair kernel plus a one-line counter fold, and wires
-/// [`MatchingEngine::apply_batch`] to `run_batch(self, updates)`.
-pub trait BatchKernel: MatchingEngine {
-    /// Applies one validated, non-empty batch of updates and restores
-    /// maximality.  The scaffold has already verified the batch, so kernels
-    /// may assume deletions name live edges and insertions carry fresh ids.
-    fn run_kernel(&mut self, updates: &[Update]) -> KernelOutcome;
-
-    /// Folds the scaffold's per-batch counter delta into the engine's
-    /// lifetime counters (baselines: [`UpdateCounters::merge`]; the parallel
-    /// algorithm updates its richer §4.2 metrics).
-    fn record_batch(&mut self, delta: &UpdateCounters);
-}
-
-/// The shared batch pipeline: validate → run the engine's kernel → count →
-/// snapshot costs → assemble the [`BatchReport`].
-///
-/// Semantics every engine inherits by routing `apply_batch` through here:
-///
-/// * invalid batches are refused **atomically** with the first [`BatchError`]
-///   in batch order — the kernel only ever sees valid batches;
-/// * the empty batch is a true no-op: an `Ok` report with `batch_size == 0`,
-///   the current matching size, and a zeroed metrics delta, and **no**
-///   lifetime counter is mutated;
-/// * [`BatchReport::metrics`] is the exact [`EngineMetrics`] delta of this
-///   batch, so every engine reports its per-batch costs uniformly.
-///
-/// # Errors
-///
-/// Returns the first violation found in batch order; the engine is untouched.
-pub fn run_batch<E: BatchKernel + ?Sized>(
-    engine: &mut E,
-    updates: &[Update],
-) -> Result<BatchReport, BatchError> {
-    let proven = ValidatedBatch::new(
-        updates,
-        |id| engine.contains_edge(id),
-        engine.max_rank(),
-        engine.num_vertices(),
-    )?;
-    Ok(run_batch_trusted(engine, proven))
-}
-
-/// The trusted half of the batch pipeline: discharges a [`ValidatedBatch`]
-/// proof straight into the engine's kernel, with **no** validation pass.
-///
-/// This is where the single-validation hot path lands: [`run_batch`] mints the
-/// proof and calls here; session commits ([`BatchSession::commit`],
-/// [`BatchSession::commit_staged`], [`BatchSession::commit_lossy`]) and the
-/// serve-path drains mint their proofs from checks that already ran and call
-/// here through [`MatchingEngine::apply_batch_trusted`] — so each update is
-/// checked exactly once end to end.  Everything else ([`BatchReport`]
-/// assembly, empty-batch no-op, counter folds, metrics deltas) is identical to
-/// [`run_batch`]; the engines' kernels are untouched.
-///
-/// Infallible by construction: the proof certifies the batch, so there is no
-/// error path left.
-pub fn run_batch_trusted<E: BatchKernel + ?Sized>(
-    engine: &mut E,
-    batch: ValidatedBatch<'_>,
-) -> BatchReport {
-    let updates = batch.updates();
-    if updates.is_empty() {
-        return BatchReport {
-            matching_size: engine.matching_size(),
-            ..BatchReport::default()
-        };
-    }
-    let before = engine.metrics();
-    let outcome = engine.run_kernel(updates);
-    let insertions = updates.iter().filter(|u| u.is_insert()).count() as u64;
-    engine.record_batch(&UpdateCounters {
-        batches: 1,
-        updates: updates.len() as u64,
-        insertions,
-        deletions: updates.len() as u64 - insertions,
-        matched_deletions: outcome.matched_deletions as u64,
-        rebuilds: u64::from(outcome.rebuilt),
-    });
-    let metrics = engine.metrics().since(&before);
-    BatchReport {
-        batch_size: updates.len(),
-        depth: metrics.depth,
-        work: metrics.work,
-        matched_deletions: outcome.matched_deletions,
-        matching_size: engine.matching_size(),
-        rebuilt: outcome.rebuilt,
-        metrics,
-    }
-}
-
 /// Verdict of [`BatchLedger::check`] for an update that passed the shared
 /// legality checks but repeats content the batch already contains.
 ///
 /// Strict whole-batch validation ([`validate_batch`]) treats both variants as
-/// errors; a staged [`BatchSession`] deduplicates exact copies instead.
+/// errors; a lossy [`BatchLedger::sift`] deduplicates exact copies instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateCheck {
     /// Fresh and legal: record it and include it in the batch.
     Fresh,
     /// An insertion whose id was already inserted in this batch.  Strict
-    /// validation turns this into [`BatchError::DuplicateEdgeId`]; a session
+    /// validation turns this into [`BatchError::DuplicateEdgeId`]; a sift
     /// compares the two edges structurally and deduplicates exact copies.
     RepeatedInsert {
         /// The position passed to [`BatchLedger::record`] for the earlier
@@ -1405,15 +1352,15 @@ pub enum UpdateCheck {
         at: usize,
     },
     /// A deletion of an id this batch already deletes.  Strict validation
-    /// turns this into [`BatchError::DuplicateDeletion`]; a session
+    /// turns this into [`BatchError::DuplicateDeletion`]; a sift
     /// deduplicates.
     RepeatedDelete,
 }
 
 /// The id-tracking state of one in-flight batch plus the per-update legality
 /// rules of the §2 update model — the **single** validation machine behind
-/// both [`validate_batch`] and [`BatchSession`], so the two paths cannot
-/// drift (a differential property test pins them together).
+/// both [`validate_batch`] and the lossy [`BatchLedger::sift`], so the two
+/// paths cannot drift (a differential property test pins them together).
 ///
 /// The rules, per update kind:
 ///
@@ -1504,7 +1451,7 @@ impl BatchLedger {
                     // was re-inserted after the recorded deletion, this targets
                     // the *new* edge, which a single batch cannot express
                     // (deletions run first, §3.3) — a hard error either way
-                    // for strict validation, and an error even for sessions.
+                    // for strict validation, and an error even for a sift.
                     return if self.inserted.contains_key(id) {
                         Err(BatchError::DuplicateDeletion { id: *id })
                     } else {
@@ -1519,8 +1466,8 @@ impl BatchLedger {
         }
     }
 
-    /// Records a [`UpdateCheck::Fresh`] update at position `at` (sessions pass
-    /// the staging index, whole-batch validation the batch index; the value is
+    /// Records a [`UpdateCheck::Fresh`] update at position `at` (a sift passes
+    /// the kept index, whole-batch validation the batch index; the value is
     /// only echoed back through [`UpdateCheck::RepeatedInsert`]).
     pub fn record(&mut self, update: &Update, at: usize) {
         match update {
@@ -1532,16 +1479,99 @@ impl BatchLedger {
             }
         }
     }
+
+    /// The lossy ledger pass: splits offered updates into kept, deduplicated
+    /// and rejected with one [`BatchLedger::check`] per update.
+    ///
+    /// * a fresh, legal update is kept;
+    /// * an exact repeat (the same deletion id, or an insertion structurally
+    ///   equal to a kept one) is counted in [`Sifted::deduplicated`];
+    /// * a conflicting repeat (two different edges under one id) or an
+    ///   otherwise invalid update becomes a [`RejectedUpdate`] carrying the
+    ///   error strict validation would report for it.
+    ///
+    /// `is_live(update)` answers whether the update's edge id is live before
+    /// the batch: `|u| engine.contains_edge(u.edge_id())` against an engine,
+    /// or [`Update::is_delete`] for the context-free rule (a deletion is
+    /// assumed to name a live edge, an insertion a fresh id).  The kept
+    /// updates pass [`validate_batch`] under the same predicate and limits.
+    ///
+    /// ```
+    /// use pdmm_hypergraph::engine::{BatchError, BatchLedger};
+    /// use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
+    ///
+    /// let edge = |a, b| Update::Insert(HyperEdge::pair(EdgeId(1), VertexId(a), VertexId(b)));
+    /// let sifted = BatchLedger::sift(
+    ///     vec![edge(0, 1), edge(0, 1), edge(2, 3), Update::Delete(EdgeId(9))],
+    ///     |u| u.edge_id() == EdgeId(9),
+    ///     2,
+    ///     10,
+    /// );
+    /// assert_eq!(sifted.kept, vec![edge(0, 1), Update::Delete(EdgeId(9))]);
+    /// assert_eq!(sifted.deduplicated, 1);
+    /// assert_eq!(sifted.rejected[0].index, 2);
+    /// assert_eq!(sifted.rejected[0].error, BatchError::DuplicateEdgeId { id: EdgeId(1) });
+    /// ```
+    #[must_use]
+    pub fn sift(
+        updates: impl IntoIterator<Item = Update>,
+        is_live: impl Fn(&Update) -> bool,
+        max_rank: usize,
+        num_vertices: usize,
+    ) -> Sifted {
+        let mut ledger = BatchLedger::new();
+        let mut sifted = Sifted::default();
+        for (index, update) in updates.into_iter().enumerate() {
+            let live = is_live(&update);
+            let error = match ledger.check(&update, |_| live, max_rank, num_vertices) {
+                Ok(UpdateCheck::Fresh) => {
+                    ledger.record(&update, sifted.kept.len());
+                    sifted.kept.push(update);
+                    continue;
+                }
+                Ok(UpdateCheck::RepeatedInsert { at }) if sifted.kept[at] == update => {
+                    sifted.deduplicated += 1;
+                    continue;
+                }
+                Ok(UpdateCheck::RepeatedInsert { .. }) => BatchError::DuplicateEdgeId {
+                    id: update.edge_id(),
+                },
+                Ok(UpdateCheck::RepeatedDelete) => {
+                    sifted.deduplicated += 1;
+                    continue;
+                }
+                Err(error) => error,
+            };
+            sifted.rejected.push(RejectedUpdate {
+                index,
+                update,
+                error,
+            });
+        }
+        sifted
+    }
+}
+
+/// The three-way split a [`BatchLedger::sift`] produces.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Sifted {
+    /// The surviving updates, in submission order; together they form one
+    /// valid batch.
+    pub kept: Vec<Update>,
+    /// Exact repeats dropped silently (not errors).
+    pub deduplicated: usize,
+    /// Per-update rejections, in submission order.
+    pub rejected: Vec<RejectedUpdate>,
 }
 
 /// Validates a batch against the live-edge predicate of an engine.
 ///
-/// Shared by every [`MatchingEngine::apply_batch`] implementation (via the
-/// [`run_batch`] scaffold) so all engines reject exactly the same batches with
-/// exactly the same errors, and built on the same [`BatchLedger`] machine as
-/// [`BatchSession`] so the two validation paths cannot drift.  `delete X`
-/// followed by `insert X` in one batch is legal (deletions are processed first,
-/// §3.3); `insert X` followed by `delete X` is not.
+/// Behind every [`MatchingEngine::validate`] (so all engines reject exactly
+/// the same batches with exactly the same errors), and built on the same
+/// [`BatchLedger`] machine as [`BatchLedger::sift`] so the strict and lossy
+/// paths cannot drift.  `delete X` followed by `insert X` in one batch is
+/// legal (deletions are processed first, §3.3); `insert X` followed by
+/// `delete X` is not.
 ///
 /// ```
 /// use pdmm_hypergraph::engine::{validate_batch, BatchError};
@@ -1586,324 +1616,6 @@ pub fn validate_batch(
         }
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Staged batch sessions
-// ---------------------------------------------------------------------------
-
-/// A staged batch: updates are validated and deduplicated as they are staged,
-/// then committed to the engine as one batch.
-///
-/// Staging rules (enforced by the same [`BatchLedger`] machine as
-/// [`validate_batch`], so sessions and whole-batch validation cannot drift):
-///
-/// * an exact duplicate (same deletion id, or an insertion structurally equal to
-///   an already-staged one) is silently dropped — [`BatchSession::stage`] returns
-///   `Ok(false)`;
-/// * a *conflicting* duplicate (two different edges with one id) or an otherwise
-///   invalid update is rejected with the same [`BatchError`] the engine itself
-///   would return — as an error in strict mode ([`BatchSession::new`]), or
-///   collected into [`BatchSession::rejected`] in skip-and-report mode
-///   ([`BatchSession::lossy`]);
-/// * nothing touches the engine until [`BatchSession::commit`] /
-///   [`BatchSession::commit_lossy`].
-///
-/// ```
-/// use pdmm::engine::{self, BatchSession, EngineBuilder, EngineKind};
-/// use pdmm::prelude::*;
-///
-/// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
-/// let mut session = BatchSession::new(&mut *engine);
-/// let e = HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1));
-/// assert!(session.stage(Update::Insert(e.clone())).unwrap());   // staged
-/// assert!(!session.stage(Update::Insert(e)).unwrap());          // exact dup: dropped
-/// assert_eq!(session.len(), 1);
-/// assert_eq!(session.deduplicated(), 1);
-/// let report = session.commit().unwrap();
-/// assert_eq!(report.batch_size, 1);
-/// ```
-#[derive(Debug)]
-pub struct BatchSession<'a, E: MatchingEngine + ?Sized> {
-    engine: &'a mut E,
-    staged: Vec<Update>,
-    /// The shared validation machine (same rules as [`validate_batch`]).
-    ledger: BatchLedger,
-    /// Exact duplicates dropped so far.
-    deduplicated: usize,
-    /// Updates already committed by [`BatchSession::commit_staged`] (keeps the
-    /// submission-order index of later [`RejectedUpdate`]s correct).
-    committed: usize,
-    /// Skip-and-report mode: invalid updates are collected, not errors.
-    skip_and_report: bool,
-    /// Updates refused in skip-and-report mode, in submission order.
-    rejected: Vec<RejectedUpdate>,
-}
-
-impl<'a, E: MatchingEngine + ?Sized> BatchSession<'a, E> {
-    /// Opens a strict session on `engine`: staging an invalid update returns
-    /// its [`BatchError`].
-    pub fn new(engine: &'a mut E) -> Self {
-        BatchSession {
-            engine,
-            staged: Vec::new(),
-            ledger: BatchLedger::new(),
-            deduplicated: 0,
-            committed: 0,
-            skip_and_report: false,
-            rejected: Vec::new(),
-        }
-    }
-
-    /// Opens a skip-and-report session on `engine`: staging an invalid update
-    /// records a [`RejectedUpdate`] and returns `Ok(false)` instead of
-    /// erroring, so a dirty stream cannot poison the batch.
-    pub fn lossy(engine: &'a mut E) -> Self {
-        BatchSession {
-            skip_and_report: true,
-            ..BatchSession::new(engine)
-        }
-    }
-
-    /// Stages one update.  Returns `Ok(true)` if it was staged, `Ok(false)` if
-    /// it was dropped (an exact duplicate of an already-staged update, or — in
-    /// skip-and-report mode — an invalid update recorded in
-    /// [`BatchSession::rejected`]).
-    ///
-    /// # Errors
-    ///
-    /// In strict mode, returns the [`BatchError`] this update would trigger on
-    /// commit; the session itself stays usable (the offending update is simply
-    /// not staged).  In skip-and-report mode, never errors.
-    pub fn stage(&mut self, update: Update) -> Result<bool, BatchError> {
-        // In skip-and-report mode every offered update lands in exactly one of
-        // committed / staged / deduplicated / rejected, so the submission index
-        // of this update is the number of updates already bucketed.
-        let index = self.committed + self.staged.len() + self.deduplicated + self.rejected.len();
-        let check = {
-            let engine = &*self.engine;
-            self.ledger.check(
-                &update,
-                |id| engine.contains_edge(id),
-                engine.max_rank(),
-                engine.num_vertices(),
-            )
-        };
-        match check {
-            Ok(UpdateCheck::Fresh) => {
-                self.ledger.record(&update, self.staged.len());
-                self.staged.push(update);
-                Ok(true)
-            }
-            Ok(UpdateCheck::RepeatedInsert { at }) => {
-                let Update::Insert(edge) = &update else {
-                    unreachable!("RepeatedInsert verdicts only arise for insertions")
-                };
-                // Structurally identical re-stage is a no-op; a different
-                // edge under the same id is a conflict.
-                if matches!(&self.staged[at], Update::Insert(prev) if prev == edge) {
-                    self.deduplicated += 1;
-                    Ok(false)
-                } else {
-                    let error = BatchError::DuplicateEdgeId { id: edge.id };
-                    self.refuse(index, update, error)
-                }
-            }
-            Ok(UpdateCheck::RepeatedDelete) => {
-                self.deduplicated += 1;
-                Ok(false)
-            }
-            Err(error) => self.refuse(index, update, error),
-        }
-    }
-
-    /// Handles an invalid update: error in strict mode, recorded in lossy mode.
-    fn refuse(
-        &mut self,
-        index: usize,
-        update: Update,
-        error: BatchError,
-    ) -> Result<bool, BatchError> {
-        if self.skip_and_report {
-            self.rejected.push(RejectedUpdate {
-                index,
-                update,
-                error,
-            });
-            Ok(false)
-        } else {
-            Err(error)
-        }
-    }
-
-    /// Stages every update of an iterator; returns how many were actually staged
-    /// (exact duplicates are dropped and not counted).
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first invalid update.
-    pub fn stage_all(
-        &mut self,
-        updates: impl IntoIterator<Item = Update>,
-    ) -> Result<usize, BatchError> {
-        let mut staged = 0;
-        for update in updates {
-            if self.stage(update)? {
-                staged += 1;
-            }
-        }
-        Ok(staged)
-    }
-
-    /// The updates staged so far, in staging order.
-    #[must_use]
-    pub fn staged(&self) -> &[Update] {
-        &self.staged
-    }
-
-    /// Number of staged updates.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Whether nothing has been staged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.staged.is_empty()
-    }
-
-    /// How many exact duplicates were dropped during staging.
-    #[must_use]
-    pub fn deduplicated(&self) -> usize {
-        self.deduplicated
-    }
-
-    /// The updates refused so far in skip-and-report mode, in submission
-    /// order (always empty for strict sessions).
-    #[must_use]
-    pub fn rejected(&self) -> &[RejectedUpdate] {
-        &self.rejected
-    }
-
-    /// Read-only view of the engine the session is staged on (the staged
-    /// updates are *not* applied to it until a commit).
-    #[must_use]
-    pub fn engine(&self) -> &E {
-        self.engine
-    }
-
-    /// Applies the staged updates as one batch through the trusted path:
-    /// staging already checked every update against the live engine, so the
-    /// commit discharges that proof into
-    /// [`MatchingEngine::apply_batch_trusted`] instead of validating again.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's trusted apply (which cannot fire for engines
-    /// routed through [`run_batch_trusted`]).
-    pub fn commit(self) -> Result<BatchReport, BatchError> {
-        let BatchSession { engine, staged, .. } = self;
-        debug_assert!(
-            validate_batch(
-                &staged,
-                |id| engine.contains_edge(id),
-                engine.max_rank(),
-                engine.num_vertices()
-            )
-            .is_ok(),
-            "session staging must imply whole-batch validity"
-        );
-        engine.apply_batch_trusted(ValidatedBatch::presealed(&staged))
-    }
-
-    /// Commits what is staged as one batch and **keeps the session open** — the
-    /// incremental/streaming commit a long-lived ingest path needs: commit under
-    /// backpressure, keep accepting.
-    ///
-    /// After the commit the session validates against the engine's *new* state,
-    /// so an update staged later may delete an edge committed earlier through
-    /// the same session.  A sequence of `commit_staged` calls is exactly
-    /// equivalent to applying each committed chunk through
-    /// [`MatchingEngine::apply_batch`] (conformance-pinned across all engines);
-    /// committing with nothing staged is the empty-batch no-op.  The session's
-    /// [`BatchSession::deduplicated`] and [`BatchSession::rejected`] tallies are
-    /// cumulative over the whole session, not reset per commit.
-    ///
-    /// ```
-    /// use pdmm::engine::{self, EngineBuilder, EngineKind};
-    /// use pdmm::prelude::*;
-    ///
-    /// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
-    /// let mut session = BatchSession::new(&mut *engine);
-    /// session
-    ///     .stage(Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))))
-    ///     .unwrap();
-    /// let first = session.commit_staged().unwrap();
-    /// assert_eq!(first.batch_size, 1);
-    /// // The session is still open, and now validates against the new state:
-    /// session.stage(Update::Delete(EdgeId(0))).unwrap();
-    /// let second = session.commit_staged().unwrap();
-    /// assert_eq!(second.batch_size, 1);
-    /// assert_eq!(session.engine().matching_size(), 0);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's batch validation (which cannot fire for updates
-    /// staged through this session); on error the staged updates are retained.
-    pub fn commit_staged(&mut self) -> Result<BatchReport, BatchError> {
-        let staged = std::mem::take(&mut self.staged);
-        // Staging already performed this batch's one legality pass; the
-        // commit hands the proof over instead of re-validating.
-        match self
-            .engine
-            .apply_batch_trusted(ValidatedBatch::presealed(&staged))
-        {
-            Ok(report) => {
-                // Committed updates are now engine state: validate what comes
-                // next against the engine, not against this batch's ledger.
-                // They still count toward the session's submission order.
-                self.committed += staged.len();
-                self.ledger = BatchLedger::new();
-                Ok(report)
-            }
-            Err(error) => {
-                // Rejection is atomic; keep the staged updates and the ledger
-                // so the caller can inspect or abort.
-                self.staged = staged;
-                Err(error)
-            }
-        }
-    }
-
-    /// Applies the staged (valid) updates as one batch and returns the full
-    /// [`IngestReport`]: the committed batch's report plus everything the
-    /// session deduplicated or rejected.  With nothing staged, the empty
-    /// batch commits as a counter-neutral no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's trusted apply (which cannot fire for engines
-    /// routed through [`run_batch_trusted`]).
-    pub fn commit_lossy(self) -> Result<IngestReport, BatchError> {
-        let BatchSession {
-            engine,
-            staged,
-            deduplicated,
-            rejected,
-            ..
-        } = self;
-        let batch = engine.apply_batch_trusted(ValidatedBatch::presealed(&staged))?;
-        Ok(IngestReport {
-            batch,
-            deduplicated,
-            rejected,
-        })
-    }
-
-    /// Discards the staged updates without touching the engine.
-    pub fn abort(self) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -2005,8 +1717,9 @@ impl EngineBuilder {
 ///
 /// Built from [`EngineBuilder::threads`]: `Some(t)` owns a dedicated
 /// work-stealing pool of `t` workers (shared by clones of this handle), `None`
-/// delegates to the process-global pool.  Engines wrap each `apply_batch` in
-/// [`EnginePool::install`], which makes the bounded pool ambient for every
+/// delegates to the process-global pool.  Engines wrap each
+/// [`MatchingEngine::run_kernel`] in [`EnginePool::install`], which makes the
+/// bounded pool ambient for every
 /// parallel primitive beneath it (prefix sums, compaction, the parallel
 /// dictionary, Luby matching, …).
 ///
@@ -2127,8 +1840,8 @@ mod tests {
     use crate::types::HyperEdge;
 
     /// Minimal reference engine: replay the graph, recompute greedily.  Exercises
-    /// the trait's default methods and the session logic without pulling in the
-    /// real engines (which live in downstream crates).
+    /// the trait's provided pipeline methods without pulling in the real
+    /// engines (which live in downstream crates).
     struct ToyEngine {
         graph: DynamicHypergraph,
         matching: Vec<EdgeId>,
@@ -2162,32 +1875,8 @@ mod tests {
             self.graph.contains_edge(id)
         }
 
-        fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-            run_batch(self, updates)
-        }
-
-        fn apply_batch_trusted(
-            &mut self,
-            batch: ValidatedBatch<'_>,
-        ) -> Result<BatchReport, BatchError> {
-            Ok(run_batch_trusted(self, batch))
-        }
-
-        fn matching(&self) -> MatchingIter<'_> {
-            MatchingIter::new(self.matching.iter().copied())
-        }
-
-        fn verify(&mut self) -> Result<(), String> {
-            verify_maximality(&self.graph, &self.matching).map_err(|e| format!("{e:?}"))
-        }
-
-        fn metrics(&self) -> EngineMetrics {
-            self.counters.into_metrics(0, 0)
-        }
-    }
-
-    impl BatchKernel for ToyEngine {
-        fn run_kernel(&mut self, updates: &[Update]) -> KernelOutcome {
+        fn run_kernel(&mut self, batch: ValidatedBatch<'_>) -> KernelOutcome {
+            let updates = batch.updates();
             let matched: FxHashSet<EdgeId> = self.matching.iter().copied().collect();
             let matched_deletions = updates
                 .iter()
@@ -2203,6 +1892,18 @@ mod tests {
 
         fn record_batch(&mut self, delta: &UpdateCounters) {
             self.counters.merge(delta);
+        }
+
+        fn matching(&self) -> MatchingIter<'_> {
+            MatchingIter::new(self.matching.iter().copied())
+        }
+
+        fn verify(&mut self) -> Result<(), String> {
+            verify_maximality(&self.graph, &self.matching).map_err(|e| format!("{e:?}"))
+        }
+
+        fn metrics(&self) -> EngineMetrics {
+            self.counters.into_metrics(0, 0)
         }
     }
 
@@ -2309,126 +2010,101 @@ mod tests {
     }
 
     #[test]
-    fn session_stages_validates_and_dedups() {
+    fn sift_keeps_dedups_and_rejects() {
         let mut engine = ToyEngine::new(6);
         engine
             .apply_batch(&[Update::Insert(pair(0, 0, 1))])
             .unwrap();
 
-        let mut session = engine.begin_batch();
-        assert!(session.stage(Update::Insert(pair(1, 2, 3))).unwrap());
-        // Exact duplicate insertion: dropped.
-        assert!(!session.stage(Update::Insert(pair(1, 2, 3))).unwrap());
-        // Conflicting insertion under the same id: typed error.
+        let report = engine.apply_batch_lossy(&[
+            Update::Insert(pair(1, 2, 3)), // kept
+            Update::Insert(pair(1, 2, 3)), // exact duplicate insertion: dropped
+            Update::Insert(pair(1, 4, 5)), // conflicting insertion under the same id
+            Update::Delete(EdgeId(0)),     // deleting the live edge works …
+            Update::Delete(EdgeId(0)),     // … and deleting it again dedups
+            // Deleting an edge only inserted by this batch: refused (§3.3).
+            Update::Delete(EdgeId(1)),
+            // Oversized and out-of-range edges: refused before the kernel.
+            Update::Insert(HyperEdge::new(EdgeId(9), (0..4).map(VertexId).collect())),
+            Update::Insert(pair(9, 0, 77)),
+        ]);
+        let errors: Vec<(usize, BatchError)> = report
+            .rejected
+            .iter()
+            .map(|r| (r.index, r.error.clone()))
+            .collect();
         assert_eq!(
-            session.stage(Update::Insert(pair(1, 4, 5))),
-            Err(BatchError::DuplicateEdgeId { id: EdgeId(1) })
+            errors[0],
+            (2, BatchError::DuplicateEdgeId { id: EdgeId(1) })
         );
-        // Deleting the live edge works; deleting it again dedups.
-        assert!(session.stage(Update::Delete(EdgeId(0))).unwrap());
-        assert!(!session.stage(Update::Delete(EdgeId(0))).unwrap());
-        // Deleting an edge only staged in this session: refused (§3.3 ordering).
         assert_eq!(
-            session.stage(Update::Delete(EdgeId(1))),
-            Err(BatchError::UnknownDeletion { id: EdgeId(1) })
+            errors[1],
+            (5, BatchError::UnknownDeletion { id: EdgeId(1) })
         );
-        // Oversized and out-of-range edges: refused before commit.
+        assert!(matches!(errors[2], (6, BatchError::RankExceeded { .. })));
         assert!(matches!(
-            session.stage(Update::Insert(HyperEdge::new(
-                EdgeId(9),
-                (0..4).map(VertexId).collect()
-            ))),
-            Err(BatchError::RankExceeded { .. })
+            errors[3],
+            (7, BatchError::VertexOutOfRange { .. })
         ));
-        assert!(matches!(
-            session.stage(Update::Insert(pair(9, 0, 77))),
-            Err(BatchError::VertexOutOfRange { .. })
-        ));
-
-        assert_eq!(session.len(), 2);
-        assert_eq!(session.deduplicated(), 2);
-        let report = session.commit().unwrap();
-        assert_eq!(report.batch_size, 2);
+        assert_eq!(errors.len(), 4);
+        assert_eq!(report.deduplicated, 2);
+        assert_eq!(report.batch.batch_size, 2);
         assert_eq!(engine.matching_ids(), vec![EdgeId(1)]);
         engine.verify().unwrap();
     }
 
     #[test]
-    fn session_rejects_delete_of_a_reinserted_id() {
+    fn sift_rejects_delete_of_a_reinserted_id() {
         let mut engine = ToyEngine::new(4);
         engine
             .apply_batch(&[Update::Insert(pair(0, 0, 1))])
             .unwrap();
-        let mut session = engine.begin_batch();
-        assert!(session.stage(Update::Delete(EdgeId(0))).unwrap());
-        // Legal delete-then-reinsert of the same id.
-        assert!(session.stage(Update::Insert(pair(0, 2, 3))).unwrap());
-        // Deleting id 0 again targets the re-inserted edge; one batch cannot
-        // express delete/insert/delete, so this must be an error — not a
-        // silent dedup that would drop the caller's request.
+        let report = engine.apply_batch_lossy(&[
+            Update::Delete(EdgeId(0)),
+            // Legal delete-then-reinsert of the same id.
+            Update::Insert(pair(0, 2, 3)),
+            // Deleting id 0 again targets the re-inserted edge; one batch cannot
+            // express delete/insert/delete, so this must be an error — not a
+            // silent dedup that would drop the caller's request.
+            Update::Delete(EdgeId(0)),
+        ]);
+        assert_eq!(report.batch.batch_size, 2);
+        assert_eq!(report.deduplicated, 0);
+        assert_eq!(report.rejected.len(), 1);
         assert_eq!(
-            session.stage(Update::Delete(EdgeId(0))),
-            Err(BatchError::DuplicateDeletion { id: EdgeId(0) })
+            report.rejected[0].error,
+            BatchError::DuplicateDeletion { id: EdgeId(0) }
         );
-        assert_eq!(session.len(), 2);
-        session.commit().unwrap();
         assert!(engine.contains_edge(EdgeId(0)));
     }
 
     #[test]
-    fn commit_staged_keeps_the_session_open() {
+    fn successive_lossy_applies_validate_against_the_new_state() {
         let mut engine = ToyEngine::new(6);
-        let mut session = engine.begin_batch();
-        session.stage(Update::Insert(pair(0, 0, 1))).unwrap();
-        // Deleting an id staged (not yet committed) by this session: refused.
+        // Deleting an id inserted by the same batch: refused.
+        let first = engine.apply_batch_lossy(&[
+            Update::Insert(pair(0, 0, 1)),
+            Update::Insert(pair(1, 2, 3)),
+            Update::Delete(EdgeId(0)),
+        ]);
+        assert_eq!(first.batch.batch_size, 2);
         assert_eq!(
-            session.stage(Update::Delete(EdgeId(0))),
-            Err(BatchError::UnknownDeletion { id: EdgeId(0) })
+            first.rejected[0].error,
+            BatchError::UnknownDeletion { id: EdgeId(0) }
         );
-        let first = session.commit_staged().unwrap();
-        assert_eq!(first.batch_size, 1);
-        assert!(session.is_empty(), "staged updates were committed");
 
-        // After the commit the edge is live, so the same deletion now stages.
-        session.stage(Update::Delete(EdgeId(0))).unwrap();
-        session.stage(Update::Insert(pair(1, 2, 3))).unwrap();
-        let second = session.commit_staged().unwrap();
-        assert_eq!(second.batch_size, 2);
-
-        // Committing with nothing staged is the empty-batch no-op.
-        let metrics_before = session.engine().metrics();
-        let empty = session.commit_staged().unwrap();
-        assert_eq!(empty.batch_size, 0);
-        assert_eq!(empty.matching_size, 1);
-        assert_eq!(session.engine().metrics(), metrics_before);
-
-        // The session can still finish with a normal consuming commit.
-        session.stage(Update::Insert(pair(2, 4, 5))).unwrap();
-        let last = session.commit().unwrap();
-        assert_eq!(last.batch_size, 1);
-        assert_eq!(engine.metrics().batches, 3, "empty commit was a no-op");
-        assert_eq!(engine.matching_size(), 2);
-        engine.verify().unwrap();
-    }
-
-    #[test]
-    fn lossy_rejection_indexes_survive_commit_staged() {
-        let mut engine = ToyEngine::new(6);
-        let mut session = engine.begin_batch_lossy();
-        // Offers 0 and 1 are committed mid-session.  After the commit, the
-        // session validates against the engine's new state: re-offering a
-        // committed id is a rejection (not a dedup), an exact dup of a *newly
-        // staged* update still dedups, and the reported indexes must count
-        // every offer since the session opened.
-        session.stage(Update::Insert(pair(0, 0, 1))).unwrap();
-        session.stage(Update::Insert(pair(1, 2, 3))).unwrap();
-        session.commit_staged().unwrap();
-        assert!(!session.stage(Update::Insert(pair(1, 2, 3))).unwrap()); // 2: live id now
-        assert!(session.stage(Update::Insert(pair(2, 4, 5))).unwrap()); //  3: staged
-        assert!(!session.stage(Update::Insert(pair(2, 4, 5))).unwrap()); // 4: exact dup
-        assert!(!session.stage(Update::Delete(EdgeId(9))).unwrap()); //     5: unknown
-        let report = session.commit_lossy().unwrap();
-        let got: Vec<(usize, BatchError)> = report
+        // After the commit the edges are live: re-offering a committed id is a
+        // rejection (not a dedup), the deletion now survives, an exact dup of
+        // a newly kept update still dedups, and indexes count every offer of
+        // this call.
+        let second = engine.apply_batch_lossy(&[
+            Update::Insert(pair(1, 2, 3)), // 0: live id now
+            Update::Delete(EdgeId(0)),     // 1: kept
+            Update::Insert(pair(2, 4, 5)), // 2: kept
+            Update::Insert(pair(2, 4, 5)), // 3: exact dup
+            Update::Delete(EdgeId(9)),     // 4: unknown
+        ]);
+        let got: Vec<(usize, BatchError)> = second
             .rejected
             .iter()
             .map(|r| (r.index, r.error.clone()))
@@ -2436,65 +2112,68 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                (2, BatchError::DuplicateEdgeId { id: EdgeId(1) }),
-                (5, BatchError::UnknownDeletion { id: EdgeId(9) }),
+                (0, BatchError::DuplicateEdgeId { id: EdgeId(1) }),
+                (4, BatchError::UnknownDeletion { id: EdgeId(9) }),
             ]
         );
-        assert_eq!(report.deduplicated, 1);
-        assert_eq!(report.batch.batch_size, 1, "only edge 2 in the last chunk");
+        assert_eq!(second.deduplicated, 1);
+        assert_eq!(second.batch.batch_size, 2);
+
+        // Nothing surviving is the empty-batch no-op.
+        let metrics_before = engine.metrics();
+        let empty = engine.apply_batch_lossy(&[Update::Delete(EdgeId(0))]);
+        assert_eq!(empty.batch.batch_size, 0);
+        assert_eq!(empty.batch.matching_size, 2);
+        assert_eq!(engine.metrics(), metrics_before);
+        assert_eq!(engine.metrics().batches, 2, "empty commit was a no-op");
+        engine.verify().unwrap();
     }
 
     #[test]
-    fn commit_staged_matches_separate_apply_batch_calls() {
+    fn lossy_apply_of_clean_chunks_matches_apply_batch() {
         let chunks: Vec<Vec<Update>> = vec![
             vec![Update::Insert(pair(0, 0, 1)), Update::Insert(pair(1, 2, 3))],
             vec![Update::Delete(EdgeId(0)), Update::Insert(pair(2, 1, 4))],
             vec![Update::Delete(EdgeId(2))],
         ];
-        let mut via_session = ToyEngine::new(6);
-        let mut session = via_session.begin_batch();
-        let mut session_reports = Vec::new();
-        for chunk in &chunks {
-            session.stage_all(chunk.iter().cloned()).unwrap();
-            session_reports.push(session.commit_staged().unwrap());
-        }
-        session.abort();
+        let mut via_lossy = ToyEngine::new(6);
+        let lossy_reports: Vec<BatchReport> = chunks
+            .iter()
+            .map(|chunk| via_lossy.apply_batch_lossy(chunk).batch)
+            .collect();
 
         let mut via_apply = ToyEngine::new(6);
         let mut apply_reports = Vec::new();
         for chunk in &chunks {
             apply_reports.push(via_apply.apply_batch(chunk).unwrap());
         }
-        assert_eq!(session_reports, apply_reports);
-        assert_eq!(via_session.matching_ids(), via_apply.matching_ids());
-        assert_eq!(via_session.metrics(), via_apply.metrics());
+        assert_eq!(lossy_reports, apply_reports);
+        assert_eq!(via_lossy.matching_ids(), via_apply.matching_ids());
+        assert_eq!(via_lossy.metrics(), via_apply.metrics());
     }
 
     #[test]
-    fn session_abort_leaves_engine_untouched() {
+    fn undischarged_proof_leaves_engine_untouched() {
         let mut engine = ToyEngine::new(4);
         engine
             .apply_batch(&[Update::Insert(pair(0, 0, 1))])
             .unwrap();
-        let mut session = engine.begin_batch();
-        session.stage(Update::Delete(EdgeId(0))).unwrap();
-        session.abort();
+        // Mint a proof and let it go without discharging it.
+        let updates = [Update::Delete(EdgeId(0))];
+        assert_eq!(engine.validate(&updates).map(|proof| proof.len()), Ok(1));
         assert!(engine.contains_edge(EdgeId(0)));
         assert_eq!(engine.matching_size(), 1);
     }
 
     #[test]
-    fn session_works_through_a_trait_object() {
+    fn pipeline_works_through_a_trait_object() {
         let mut boxed: Box<dyn MatchingEngine> = Box::new(ToyEngine::new(4));
-        let mut session = BatchSession::new(&mut *boxed);
-        session
-            .stage_all(vec![
-                Update::Insert(pair(0, 0, 1)),
-                Update::Insert(pair(1, 2, 3)),
-            ])
-            .unwrap();
-        let report = session.commit().unwrap();
+        let updates = [Update::Insert(pair(0, 0, 1)), Update::Insert(pair(1, 2, 3))];
+        let proof = boxed.validate(&updates).unwrap();
+        let report = boxed.apply_batch_trusted(proof);
         assert_eq!(report.matching_size, 2);
+        let lossy = boxed.apply_batch_lossy(&[Update::Delete(EdgeId(0))]);
+        assert_eq!(lossy.batch.matching_size, 1);
     }
 
     #[test]
@@ -2578,24 +2257,22 @@ mod tests {
     }
 
     #[test]
-    fn lossy_session_skips_and_reports_instead_of_failing() {
+    fn lossy_apply_skips_and_reports_instead_of_failing() {
         let mut engine = ToyEngine::new(6);
         engine
             .apply_batch(&[Update::Insert(pair(0, 0, 1))])
             .unwrap();
 
-        let report = engine
-            .apply_batch_lossy(&[
-                Update::Insert(pair(1, 2, 3)),  // 0: staged
-                Update::Insert(pair(1, 2, 3)),  // 1: exact dup, dropped
-                Update::Insert(pair(1, 4, 5)),  // 2: conflicting id, rejected
-                Update::Insert(pair(0, 4, 5)),  // 3: live id, rejected
-                Update::Delete(EdgeId(42)),     // 4: unknown, rejected
-                Update::Delete(EdgeId(0)),      // 5: staged
-                Update::Insert(pair(9, 0, 77)), // 6: out of range, rejected
-                Update::Insert(HyperEdge::new(EdgeId(9), (0..4).map(VertexId).collect())), // 7: rank > 3, rejected
-            ])
-            .unwrap();
+        let report = engine.apply_batch_lossy(&[
+            Update::Insert(pair(1, 2, 3)),  // 0: kept
+            Update::Insert(pair(1, 2, 3)),  // 1: exact dup, dropped
+            Update::Insert(pair(1, 4, 5)),  // 2: conflicting id, rejected
+            Update::Insert(pair(0, 4, 5)),  // 3: live id, rejected
+            Update::Delete(EdgeId(42)),     // 4: unknown, rejected
+            Update::Delete(EdgeId(0)),      // 5: kept
+            Update::Insert(pair(9, 0, 77)), // 6: out of range, rejected
+            Update::Insert(HyperEdge::new(EdgeId(9), (0..4).map(VertexId).collect())), // 7: rank > 3, rejected
+        ]);
 
         assert_eq!(report.batch.batch_size, 2);
         assert_eq!(report.deduplicated, 1);
@@ -2636,45 +2313,40 @@ mod tests {
     #[test]
     fn lossy_commit_of_nothing_is_a_noop() {
         let mut engine = ToyEngine::new(4);
-        let report = engine
-            .apply_batch_lossy(&[Update::Delete(EdgeId(3))])
-            .unwrap();
+        let report = engine.apply_batch_lossy(&[Update::Delete(EdgeId(3))]);
         assert_eq!(report.batch.batch_size, 0);
         assert_eq!(report.rejected.len(), 1);
         assert_eq!(engine.metrics(), EngineMetrics::default());
     }
 
     #[test]
-    fn strict_and_lossy_sessions_stage_the_same_subset() {
+    fn strict_validation_and_sift_agree() {
         let dirty = vec![
             Update::Insert(pair(0, 0, 1)),
             Update::Insert(pair(0, 2, 3)), // conflict
             Update::Delete(EdgeId(5)),     // unknown
             Update::Insert(pair(1, 2, 3)),
             Update::Insert(pair(1, 2, 3)), // exact dup
-            Update::Delete(EdgeId(0)),     // §3.3: cannot delete an id staged by this batch
+            Update::Delete(EdgeId(0)),     // §3.3: cannot delete an id inserted by this batch
         ];
-        let mut a = ToyEngine::new(6);
-        let mut strict = BatchSession::new(&mut a);
-        let mut errors = Vec::new();
-        for update in &dirty {
-            if let Err(e) = strict.stage(update.clone()) {
-                errors.push(e);
-            }
+        let live = |_: EdgeId| false;
+        let sifted = BatchLedger::sift(dirty.clone(), |u| live(u.edge_id()), 3, 6);
+        assert_eq!(sifted.kept, vec![dirty[0].clone(), dirty[3].clone()]);
+        assert_eq!(sifted.deduplicated, 1);
+        assert_eq!(validate_batch(&sifted.kept, live, 3, 6), Ok(()));
+        // Each rejection carries exactly the error strict validation reports
+        // for the update appended to the updates kept before it.
+        let kept_at = [0, 3];
+        assert_eq!(sifted.rejected.len(), 3);
+        for r in &sifted.rejected {
+            let mut batch: Vec<Update> = kept_at
+                .iter()
+                .filter(|&&k| k < r.index)
+                .map(|&k| dirty[k].clone())
+                .collect();
+            batch.push(r.update.clone());
+            assert_eq!(validate_batch(&batch, live, 3, 6), Err(r.error.clone()));
         }
-        let strict_staged = strict.staged().to_vec();
-        let mut b = ToyEngine::new(6);
-        let mut lossy = BatchSession::lossy(&mut b);
-        for update in &dirty {
-            lossy
-                .stage(update.clone())
-                .expect("lossy staging never errors");
-        }
-        assert_eq!(lossy.staged(), strict_staged.as_slice());
-        let lossy_errors: Vec<BatchError> =
-            lossy.rejected().iter().map(|r| r.error.clone()).collect();
-        assert_eq!(lossy_errors, errors);
-        assert_eq!(lossy.deduplicated(), 1);
     }
 
     #[test]

@@ -149,8 +149,9 @@ pub fn batches_to_string(batches: &[UpdateBatch]) -> String {
 }
 
 /// Serializes one update as its stream line (the single place the line format
-/// is written, shared by the plain and shard-tagged serializers).
-fn write_update(out: &mut String, update: &Update) {
+/// is written, shared by the plain and shard-tagged serializers and the
+/// service journal).
+pub(crate) fn write_update(out: &mut String, update: &Update) {
     match update {
         Update::Insert(e) => {
             let _ = write!(out, "+ {}", e.id.0);

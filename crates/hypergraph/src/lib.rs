@@ -6,9 +6,10 @@
 //! * [`types`] — vertex/edge identifiers, hyperedges and the fully dynamic
 //!   [`types::Update`] model of §2,
 //! * [`engine`] — the [`engine::MatchingEngine`] API every matcher in the
-//!   workspace implements: typed [`engine::BatchError`]s, zero-copy matching
-//!   queries, the [`engine::EngineBuilder`] configuration, and staged
-//!   [`engine::BatchSession`] ingestion,
+//!   workspace implements: the one batch pipeline (validate → trusted apply →
+//!   kernel, with a lossy sift in front for dirty streams), typed
+//!   [`engine::BatchError`]s, zero-copy matching queries, and the
+//!   [`engine::EngineBuilder`] configuration,
 //! * [`graph`] — the ground-truth dynamic hypergraph,
 //! * [`matching`] — matchings, validity/maximality verification, reference
 //!   (greedy / exact) matching algorithms,
@@ -47,8 +48,7 @@ pub mod streams;
 pub mod types;
 
 pub use engine::{
-    BatchError, BatchReport, BatchSession, EngineBuilder, EngineKind, EngineMetrics,
-    MatchingEngine, MatchingIter,
+    BatchError, BatchReport, EngineBuilder, EngineKind, EngineMetrics, MatchingEngine, MatchingIter,
 };
 pub use graph::DynamicHypergraph;
 pub use matching::{verify_maximality, verify_validity, Matching, MatchingError};

@@ -5,7 +5,7 @@
 //! *service*: updates arrive over time from many producers, queries must not
 //! stall behind a committing batch, and the whole update history must be
 //! recoverable after a restart.  [`EngineService`] owns a [`MatchingEngine`]
-//! behind the staged-session API and adds exactly those three capabilities:
+//! and adds exactly those three capabilities:
 //!
 //! * **snapshot reads** — [`EngineService::snapshot`] hands out an
 //!   `Arc<`[`MatchingSnapshot`]`>`: an immutable view of the matching (size,
@@ -68,8 +68,8 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::engine::{
-    write_state_graph, BatchError, BatchReport, BatchSession, EngineMetrics, IngestReport,
-    MatchingEngine,
+    write_state_graph, BatchError, BatchLedger, BatchReport, EngineMetrics, IngestReport,
+    MatchingEngine, ValidatedBatch,
 };
 use crate::graph::DynamicHypergraph;
 use crate::io::{self, ParseError};
@@ -916,8 +916,7 @@ impl EngineService {
 
     /// Commits every queued batch (including batches submitted *while* the
     /// drain runs) on the **single-validation hot path**: each popped batch's
-    /// [`ValidatedBatch`](crate::engine::ValidatedBatch) proof is minted by
-    /// [`MatchingEngine::validate`] —
+    /// [`ValidatedBatch`] proof is minted by [`MatchingEngine::validate`] —
     /// the one legality check on the serve path — and discharged by
     /// [`MatchingEngine::apply_batch_trusted`], which runs the kernel without
     /// revalidating.  After each committed batch the journal is appended and a
@@ -958,7 +957,7 @@ impl EngineService {
             let committed = inner
                 .engine
                 .validate(batch.updates())
-                .and_then(|proven| inner.engine.apply_batch_trusted(proven));
+                .map(|proven| inner.engine.apply_batch_trusted(proven));
             let report = match committed {
                 Ok(report) => report,
                 Err(error) => {
@@ -987,13 +986,15 @@ impl EngineService {
         }
     }
 
-    /// Commits every queued batch through per-batch **skip-and-report** lossy
-    /// sessions, so a dirty stream cannot poison a drain: invalid updates are
-    /// skipped (and reported with their typed error) while the surviving
-    /// subset of each batch commits — the serve-path twin of
-    /// [`MatchingEngine::apply_batch_lossy`].  The journal records exactly the
-    /// surviving subsets, so [`EngineService::replay`] of a lossy journal
-    /// still rebuilds bit-identical state.
+    /// Commits every queued batch in **skip-and-report** mode, so a dirty
+    /// stream cannot poison a drain: one [`BatchLedger::sift`] per batch
+    /// against the live engine skips invalid updates (reporting each with its
+    /// typed error), and the surviving subset commits through
+    /// [`MatchingEngine::apply_batch_trusted`] — the serve-path twin of
+    /// [`MatchingEngine::apply_batch_lossy`], with one legality check per
+    /// offered update.  The journal records exactly the surviving subsets,
+    /// so [`EngineService::replay`] of a lossy journal still rebuilds
+    /// bit-identical state.
     ///
     /// Returns one [`IngestReport`] per drained batch, in commit order.  A
     /// batch whose updates are all rejected commits the empty batch (counted,
@@ -1018,26 +1019,30 @@ impl EngineService {
                 }
                 return reports;
             };
-            let mut session = BatchSession::lossy(inner.engine.as_mut());
-            for update in batch.iter().cloned() {
-                // Lossy staging records rejections instead of returning them.
-                let _ = session.stage(update);
-            }
-            let survived: Vec<Update> = session.staged().to_vec();
-            let report = session
-                .commit_lossy()
-                .expect("session-staged updates cannot fail engine validation");
+            let engine = inner.engine.as_ref();
+            let sifted = BatchLedger::sift(
+                batch.into_updates(),
+                |u| engine.contains_edge(u.edge_id()),
+                engine.max_rank(),
+                engine.num_vertices(),
+            );
+            let report = inner
+                .engine
+                .apply_batch_trusted(ValidatedBatch::presealed(&sifted.kept));
             // The journal and mirror record what actually committed — the
             // surviving subset — so replay stays bit-faithful.
-            let survived = UpdateBatch::trusted(survived);
-            inner.mirror.apply_batch(&survived);
+            inner.mirror.apply_batch(&sifted.kept);
             inner.committed += 1;
-            append_journal(inner.journal.as_mut(), &survived);
+            append_journal(inner.journal.as_mut(), &sifted.kept);
             inner.journal.commit();
             if inner.committed.is_multiple_of(self.snapshot_every) {
                 self.publish(inner);
             }
-            reports.push(report);
+            reports.push(IngestReport {
+                batch: report,
+                deduplicated: sifted.deduplicated,
+                rejected: sifted.rejected,
+            });
         }
     }
 
@@ -1400,18 +1405,21 @@ impl EngineService {
 }
 
 /// Appends one committed batch to a journal sink as an update-stream block,
-/// through the one serializer ([`io::batches_to_string`]) so the journal
+/// through the one per-update serializer ([`io::write_update`]) so the journal
 /// format cannot drift from the `io` module's.  The block carries the
 /// [`io::COMMIT_MARKER`] trailer in the same append, so a torn write loses
 /// the trailer with the tail and recovery never mistakes a partial block for
 /// a committed batch (the parsers skip `#` lines, so replay is unaffected).
-fn append_journal(journal: &mut dyn JournalSink, batch: &UpdateBatch) {
-    if batch.is_empty() {
+fn append_journal(journal: &mut dyn JournalSink, updates: &[Update]) {
+    if updates.is_empty() {
         // The stream format cannot represent an empty batch; it is a no-op on
         // every engine, so skipping it keeps replay faithful.
         return;
     }
-    let mut block = io::batches_to_string(std::slice::from_ref(batch));
+    let mut block = String::new();
+    for update in updates {
+        io::write_update(&mut block, update);
+    }
     block.push_str(io::COMMIT_MARKER);
     block.push('\n');
     journal.append_block(&block);
@@ -1427,10 +1435,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{
-        run_batch, run_batch_trusted, BatchKernel, EngineMetrics, KernelOutcome, MatchingIter,
-        UpdateCounters, ValidatedBatch,
-    };
+    use crate::engine::{EngineMetrics, KernelOutcome, MatchingIter, UpdateCounters};
     use crate::matching::{greedy_maximal_matching, verify_maximality};
     use crate::types::{HyperEdge, Update};
 
@@ -1469,32 +1474,8 @@ mod tests {
             self.graph.contains_edge(id)
         }
 
-        fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-            run_batch(self, updates)
-        }
-
-        fn apply_batch_trusted(
-            &mut self,
-            batch: ValidatedBatch<'_>,
-        ) -> Result<BatchReport, BatchError> {
-            Ok(run_batch_trusted(self, batch))
-        }
-
-        fn matching(&self) -> MatchingIter<'_> {
-            MatchingIter::new(self.matching.iter().copied())
-        }
-
-        fn verify(&mut self) -> Result<(), String> {
-            verify_maximality(&self.graph, &self.matching).map_err(|e| format!("{e:?}"))
-        }
-
-        fn metrics(&self) -> EngineMetrics {
-            self.counters.into_metrics(0, 0)
-        }
-    }
-
-    impl BatchKernel for ToyEngine {
-        fn run_kernel(&mut self, updates: &[Update]) -> KernelOutcome {
+        fn run_kernel(&mut self, batch: ValidatedBatch<'_>) -> KernelOutcome {
+            let updates = batch.updates();
             let matched_deletions = updates
                 .iter()
                 .filter(|u| matches!(u, Update::Delete(id) if self.matching.contains(id)))
@@ -1509,6 +1490,18 @@ mod tests {
 
         fn record_batch(&mut self, delta: &UpdateCounters) {
             self.counters.merge(delta);
+        }
+
+        fn matching(&self) -> MatchingIter<'_> {
+            MatchingIter::new(self.matching.iter().copied())
+        }
+
+        fn verify(&mut self) -> Result<(), String> {
+            verify_maximality(&self.graph, &self.matching).map_err(|e| format!("{e:?}"))
+        }
+
+        fn metrics(&self) -> EngineMetrics {
+            self.counters.into_metrics(0, 0)
         }
     }
 

@@ -249,11 +249,12 @@ impl Update {
 /// [`ValidatedBatch`], minted by [`MatchingEngine::validate`] against a live
 /// engine — certifies the rest.  The serve path mints the engine-context proof
 /// exactly once per batch (in the drain) and hands it to
-/// [`run_batch_trusted`], so no update is re-checked downstream.
+/// [`MatchingEngine::apply_batch_trusted`], so no update is re-checked
+/// downstream.
 ///
 /// [`ValidatedBatch`]: crate::engine::ValidatedBatch
 /// [`MatchingEngine::validate`]: crate::engine::MatchingEngine::validate
-/// [`run_batch_trusted`]: crate::engine::run_batch_trusted
+/// [`MatchingEngine::apply_batch_trusted`]: crate::engine::MatchingEngine::apply_batch_trusted
 ///
 /// ```
 /// use pdmm_hypergraph::engine::BatchError;
@@ -315,11 +316,11 @@ impl UpdateBatch {
         Ok(UpdateBatch { updates })
     }
 
-    /// Validates `updates` leniently, mirroring a lossy
-    /// [`BatchSession`](crate::engine::BatchSession): exact duplicates (the same
-    /// deletion id, or an insertion structurally equal to an earlier one) are
-    /// silently dropped, while conflicting or otherwise invalid updates land in
-    /// the returned rejection list with their typed error and submission index.
+    /// Validates `updates` leniently through one context-free
+    /// [`BatchLedger::sift`]: exact duplicates (the same deletion id, or an
+    /// insertion structurally equal to an earlier one) are silently dropped,
+    /// while conflicting or otherwise invalid updates land in the returned
+    /// rejection list with their typed error and submission index.
     ///
     /// ```
     /// use pdmm_hypergraph::engine::BatchError;
@@ -334,41 +335,13 @@ impl UpdateBatch {
     /// ```
     #[must_use]
     pub fn new_lossy(updates: Vec<Update>) -> (Self, Vec<RejectedUpdate>) {
-        let mut ledger = BatchLedger::new();
-        let mut kept: Vec<Update> = Vec::with_capacity(updates.len());
-        let mut rejected = Vec::new();
-        for (index, update) in updates.into_iter().enumerate() {
-            match Self::check_context_free(&ledger, &update) {
-                Ok(UpdateCheck::Fresh) => {
-                    ledger.record(&update, kept.len());
-                    kept.push(update);
-                }
-                Ok(UpdateCheck::RepeatedInsert { at }) => {
-                    let Update::Insert(edge) = &update else {
-                        unreachable!("RepeatedInsert verdicts only arise for insertions")
-                    };
-                    if matches!(&kept[at], Update::Insert(prev) if prev == edge) {
-                        // Exact duplicate: dropped silently, like a session.
-                    } else {
-                        let error = BatchError::DuplicateEdgeId { id: edge.id };
-                        rejected.push(RejectedUpdate {
-                            index,
-                            update,
-                            error,
-                        });
-                    }
-                }
-                Ok(UpdateCheck::RepeatedDelete) => {
-                    // Exact duplicate deletion: dropped silently.
-                }
-                Err(error) => rejected.push(RejectedUpdate {
-                    index,
-                    update,
-                    error,
-                }),
-            }
-        }
-        (UpdateBatch { updates: kept }, rejected)
+        let sifted = BatchLedger::sift(updates, Update::is_delete, usize::MAX, usize::MAX);
+        (
+            UpdateBatch {
+                updates: sifted.kept,
+            },
+            sifted.rejected,
+        )
     }
 
     /// The empty batch (a counter-neutral no-op on every engine).

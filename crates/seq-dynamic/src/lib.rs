@@ -7,8 +7,9 @@
 //!   the incidence lists of exposed endpoints;
 //! * [`random_replace`] — the same structure with uniformly random replacement
 //!   choices (the raw intuition behind random-settle, without a leveling scheme);
-//! * [`recompute`] — recompute a static maximal matching of the whole graph after
-//!   every batch (Theorem 2.2 used statically).
+//! * [`RecomputeFromScratch`] — recompute a static maximal matching of the whole
+//!   graph after every batch (Theorem 2.2 used statically); re-exported from
+//!   `pdmm-static`, where one generic engine serves both recompute baselines.
 //!
 //! The *leveled* sequential dynamic algorithm of \[BGS11\]/\[AS21\] is obtained by
 //! driving the paper's algorithm (`pdmm-core`) with single-update batches; the
@@ -26,8 +27,7 @@
 pub mod naive;
 mod persist;
 pub mod random_replace;
-pub mod recompute;
 
 pub use naive::NaiveDynamicMatching;
+pub use pdmm_static::RecomputeFromScratch;
 pub use random_replace::RandomReplaceMatching;
-pub use recompute::RecomputeFromScratch;

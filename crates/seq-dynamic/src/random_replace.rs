@@ -11,9 +11,8 @@
 
 use crate::persist;
 use pdmm_hypergraph::engine::{
-    read_state_counters, read_state_graph, read_state_header, read_state_rng, run_batch,
-    run_batch_trusted, write_state_counters, write_state_graph, write_state_header,
-    write_state_rng, BatchError, BatchKernel, BatchReport, EngineBuilder, EngineMetrics,
+    read_state_counters, read_state_graph, read_state_header, read_state_rng, write_state_counters,
+    write_state_graph, write_state_header, write_state_rng, EngineBuilder, EngineMetrics,
     KernelOutcome, MatchingEngine, MatchingIter, RepairError, StateError, StateParser,
     UpdateCounters, ValidatedBatch,
 };
@@ -138,15 +137,23 @@ impl MatchingEngine for RandomReplaceMatching {
         self.graph.contains_edge(id)
     }
 
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-        run_batch(self, updates)
+    fn run_kernel(&mut self, batch: ValidatedBatch<'_>) -> KernelOutcome {
+        let mut outcome = KernelOutcome::default();
+        for update in batch.updates() {
+            // Each update is one sequential step: depth grows linearly in the batch.
+            self.cost.round();
+            match update {
+                Update::Insert(edge) => self.handle_insert(edge.clone()),
+                Update::Delete(id) => {
+                    outcome.matched_deletions += usize::from(self.handle_delete(*id));
+                }
+            }
+        }
+        outcome
     }
 
-    fn apply_batch_trusted(
-        &mut self,
-        batch: ValidatedBatch<'_>,
-    ) -> Result<BatchReport, BatchError> {
-        Ok(run_batch_trusted(self, batch))
+    fn record_batch(&mut self, delta: &UpdateCounters) {
+        self.counters.merge(delta);
     }
 
     fn matching(&self) -> MatchingIter<'_> {
@@ -232,30 +239,10 @@ impl MatchingEngine for RandomReplaceMatching {
     }
 }
 
-impl BatchKernel for RandomReplaceMatching {
-    fn run_kernel(&mut self, updates: &[Update]) -> KernelOutcome {
-        let mut outcome = KernelOutcome::default();
-        for update in updates {
-            // Each update is one sequential step: depth grows linearly in the batch.
-            self.cost.round();
-            match update {
-                Update::Insert(edge) => self.handle_insert(edge.clone()),
-                Update::Delete(id) => {
-                    outcome.matched_deletions += usize::from(self.handle_delete(*id));
-                }
-            }
-        }
-        outcome
-    }
-
-    fn record_batch(&mut self, delta: &UpdateCounters) {
-        self.counters.merge(delta);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdmm_hypergraph::engine::BatchError;
     use pdmm_hypergraph::generators::gnm_graph;
     use pdmm_hypergraph::streams::{insert_then_teardown, random_churn};
     use pdmm_hypergraph::types::UpdateBatch;

@@ -7,8 +7,9 @@
 //!   hyperedge conflict graph), used both inside the dynamic algorithm (insertion
 //!   handling, `process-level` Step 1) and as the recompute-from-scratch baseline;
 //! * [`greedy`] — the trivial sequential scan, the work-efficiency yardstick;
-//! * [`recompute`] — the [`StaticRecompute`] adapter exposing the greedy scan
-//!   through the workspace-wide `MatchingEngine` API.
+//! * [`recompute`] — the one [`Recompute`] engine exposing either matcher
+//!   through the workspace-wide `MatchingEngine` API: [`RecomputeFromScratch`]
+//!   (Luby) and [`StaticRecompute`] (greedy).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -19,4 +20,6 @@ pub mod recompute;
 
 pub use greedy::greedy_maximal_matching;
 pub use luby::{luby_maximal_matching, luby_on_free_edges, StaticMatching};
-pub use recompute::StaticRecompute;
+pub use recompute::{
+    GreedyMatcher, LubyMatcher, Recompute, RecomputeFromScratch, StaticMatcher, StaticRecompute,
+};

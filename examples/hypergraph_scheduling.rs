@@ -9,8 +9,9 @@
 //! running tasks share a resource.  A *maximal* matching means no submitted task
 //! that could run right now is left idle — exactly the greedy admission guarantee a
 //! scheduler wants.  Tasks are submitted and cancelled in batches through the
-//! staged batch-session API (the shape a real admission queue has: stage
-//! submissions as they arrive, validate and deduplicate, commit once per tick).
+//! lossy ingest path (the shape a real admission queue has: collect submissions
+//! as they arrive, then once per tick sift out duplicates and malformed requests
+//! and commit the rest).
 
 use pdmm::hypergraph::streams::random_churn;
 use pdmm::prelude::*;
@@ -43,14 +44,12 @@ fn main() {
 
     let mut running_history = Vec::new();
     for (i, batch) in workload.batches.iter().enumerate() {
-        // Admission control: stage each submission/cancellation, then commit the
-        // tick as one batch.  A malformed request would surface here as a typed
-        // BatchError instead of corrupting the schedule.
-        let mut tick = scheduler.begin_batch();
-        for update in batch {
-            tick.stage(update.clone()).expect("well-formed request");
-        }
-        let report = tick.commit().expect("validated tick");
+        // Admission control: commit the tick's submissions/cancellations as one
+        // batch.  A malformed request would be refused here with a typed
+        // BatchError instead of corrupting the schedule or blocking the tick.
+        let tick = scheduler.apply_batch_lossy(batch);
+        assert!(tick.rejected.is_empty(), "well-formed requests");
+        let report = tick.batch;
         running_history.push(report.matching_size);
         if i % 8 == 0 {
             println!(

@@ -1,7 +1,7 @@
 //! The engine-agnostic API, plus construction of every engine the workspace
 //! ships.
 //!
-//! The trait, builder, session, and error types live in
+//! The trait, builder, pipeline, and error types live in
 //! [`pdmm_hypergraph::engine`] (re-exported here); this module adds the one piece
 //! that has to sit above all engine crates: [`build`], which turns an
 //! [`EngineKind`] plus an [`EngineBuilder`] into a boxed [`MatchingEngine`].
@@ -20,17 +20,17 @@
 //! ```
 
 pub use pdmm_hypergraph::engine::{
-    run_batch, run_batch_trusted, validate_batch, validation_checks, BatchError, BatchKernel,
-    BatchLedger, BatchReport, BatchSession, EngineBuilder, EngineKind, EngineMetrics, EnginePool,
-    IngestReport, KernelOutcome, MatchingEngine, MatchingIter, RejectedUpdate, RepairError,
-    UpdateCheck, UpdateCounters, ValidatedBatch, ValidationToken,
+    validate_batch, validation_checks, BatchError, BatchLedger, BatchReport, EngineBuilder,
+    EngineKind, EngineMetrics, EnginePool, IngestReport, KernelOutcome, MatchingEngine,
+    MatchingIter, RejectedUpdate, RepairError, Sifted, UpdateCheck, UpdateCounters, ValidatedBatch,
+    ValidationToken,
 };
 
 /// Constructs the engine of the given kind from a shared builder configuration.
 ///
 /// Engines with parallel phases ([`EngineKind::Parallel`] and
 /// [`EngineKind::RecomputeSequential`]) honor [`EngineBuilder::threads`] by
-/// constructing an owned work-stealing pool and running every batch on it.
+/// constructing an owned work-stealing pool and running every kernel on it.
 /// Every engine is `Send`, so the result can be moved into a long-lived
 /// [`pdmm_hypergraph::service::EngineService`] and shared across threads.
 ///
@@ -52,9 +52,9 @@ pub fn build(kind: EngineKind, builder: &EngineBuilder) -> Box<dyn MatchingEngin
         EngineKind::RandomReplace => Box::new(
             pdmm_seq_dynamic::RandomReplaceMatching::from_builder(builder),
         ),
-        EngineKind::RecomputeSequential => Box::new(
-            pdmm_seq_dynamic::RecomputeFromScratch::from_builder(builder),
-        ),
+        EngineKind::RecomputeSequential => {
+            Box::new(pdmm_static::RecomputeFromScratch::from_builder(builder))
+        }
         EngineKind::StaticRecompute => {
             Box::new(pdmm_static::StaticRecompute::from_builder(builder))
         }

@@ -9,9 +9,11 @@
 //! This facade crate re-exports the workspace's public API:
 //!
 //! * [`engine`] — the engine-agnostic [`MatchingEngine`] API: the
-//!   [`EngineBuilder`] configuration, typed [`engine::BatchError`]s, zero-copy
-//!   matching queries, staged [`engine::BatchSession`] ingestion, and
-//!   [`engine::build`] to construct any of the five engines,
+//!   [`EngineBuilder`] configuration, the one batch pipeline (validate →
+//!   trusted apply → kernel, with a lossy [`engine::BatchLedger::sift`] in
+//!   front for dirty streams), typed [`engine::BatchError`]s, zero-copy
+//!   matching queries, and [`engine::build`] to construct any of the five
+//!   engines,
 //! * [`service`] — the serve path: a long-lived [`service::EngineService`]
 //!   over any engine, with concurrent [`service::MatchingSnapshot`] reads, a
 //!   bounded submission queue with backpressure, pluggable
@@ -70,26 +72,29 @@
 //! assert_eq!(size, matcher.matching_size());
 //! ```
 //!
-//! Staged ingestion validates and deduplicates before anything is applied — the
-//! shape a production ingest path needs:
+//! Every ingest path is one pipeline: [`MatchingEngine::validate`] mints a
+//! sealed proof and [`MatchingEngine::apply_batch_trusted`] discharges it into
+//! the engine's kernel.  A dirty stream goes through one ledger sift first,
+//! which drops exact duplicates and reports invalid updates instead of
+//! refusing the batch:
 //!
 //! ```
 //! use pdmm::prelude::*;
 //!
 //! let mut engine = pdmm::engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
-//! let mut session = BatchSession::new(&mut *engine);
-//! session
-//!     .stage(Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))))
-//!     .unwrap();
-//! // Exact duplicates are dropped, conflicting ones are typed errors.
-//! assert!(!session
-//!     .stage(Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))))
-//!     .unwrap());
-//! assert!(session
-//!     .stage(Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(2), VertexId(3))))
-//!     .is_err());
-//! let report = session.commit().unwrap();
-//! assert_eq!(report.batch_size, 1);
+//! let updates = [Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1)))];
+//! let proof = engine.validate(&updates).unwrap(); // the one legality pass
+//! assert_eq!(engine.apply_batch_trusted(proof).matching_size, 1);
+//!
+//! let report = engine.apply_batch_lossy(&[
+//!     Update::Insert(HyperEdge::pair(EdgeId(1), VertexId(2), VertexId(3))),
+//!     // Exact duplicates are dropped, conflicting ones are typed rejections.
+//!     Update::Insert(HyperEdge::pair(EdgeId(1), VertexId(2), VertexId(3))),
+//!     Update::Insert(HyperEdge::pair(EdgeId(1), VertexId(0), VertexId(3))),
+//! ]);
+//! assert_eq!(report.batch.batch_size, 1);
+//! assert_eq!(report.deduplicated, 1);
+//! assert_eq!(report.rejected.len(), 1);
 //! ```
 //!
 //! For a long-lived deployment, wrap any engine in an
@@ -175,8 +180,8 @@ pub use pdmm_static as static_matching;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::engine::{
-        BatchError, BatchReport, BatchSession, EngineBuilder, EngineKind, EngineMetrics,
-        IngestReport, MatchingEngine, RejectedUpdate, ValidatedBatch,
+        BatchError, BatchReport, EngineBuilder, EngineKind, EngineMetrics, IngestReport,
+        MatchingEngine, RejectedUpdate, ValidatedBatch,
     };
     pub use pdmm_core::{Config, ParallelDynamicMatching};
     pub use pdmm_hypergraph::graph::DynamicHypergraph;

@@ -1,7 +1,7 @@
 //! Trait-conformance suite: every [`MatchingEngine`] in the workspace — built
-//! through the same [`EngineBuilder`] and fed through the same staged
-//! batch-session path — must behave identically at the API level on identical
-//! workloads:
+//! through the same [`EngineBuilder`] and fed through the same batch pipeline
+//! (validate, then trusted apply) — must behave identically at the API level
+//! on identical workloads:
 //!
 //! * every batch is applied without error and reported consistently,
 //! * the matching is always a valid, *maximal* matching of the ground-truth graph,
@@ -12,7 +12,7 @@
 //! * zero-copy queries, collected ids, and reported sizes are mutually
 //!   consistent, and `verify()` passes at every step.
 
-use pdmm::engine::{self, BatchError, BatchSession, MatchingEngine};
+use pdmm::engine::{self, BatchError, MatchingEngine};
 use pdmm::hypergraph::streams::{self, Workload};
 use pdmm::hypergraph::{generators, verify_maximality, verify_validity};
 use pdmm::prelude::*;
@@ -51,15 +51,13 @@ fn every_engine_stays_valid_and_maximal_on_every_workload() {
             let mut truth = DynamicHypergraph::new(workload.num_vertices);
             for (i, batch) in workload.batches.iter().enumerate() {
                 truth.apply_batch(batch);
-                // Feed through the staged session path (the production ingest shape).
-                let mut session = BatchSession::new(&mut *engine);
-                let staged = session
-                    .stage_all(batch.iter().cloned())
-                    .unwrap_or_else(|e| {
-                        panic!("{name} rejected batch {i} of {}: {e}", workload.name)
-                    });
-                assert_eq!(staged, batch.len(), "workloads contain no duplicates");
-                let report = session.commit().expect("staged batches commit cleanly");
+                // Feed through the one pipeline (the production ingest shape):
+                // mint the proof, then discharge it.
+                let proof = engine.validate(batch).unwrap_or_else(|e| {
+                    panic!("{name} rejected batch {i} of {}: {e}", workload.name)
+                });
+                assert_eq!(proof.len(), batch.len(), "workloads contain no duplicates");
+                let report = engine.apply_batch_trusted(proof);
 
                 let ids = engine.matching_ids();
                 assert_eq!(report.batch_size, batch.len());
@@ -100,8 +98,8 @@ fn matching_sizes_agree_with_the_recompute_baseline_within_rank() {
         let rank = workload.rank.max(2);
         let mut engines = engines_for(&workload, 3);
         for engine in &mut engines {
-            workload
-                .drive(engine.as_mut())
+            engine
+                .apply_all(&workload.batches)
                 .unwrap_or_else(|e| panic!("{} rejected {}: {e}", engine.name(), workload.name));
         }
         let recompute_size = engines
@@ -349,7 +347,7 @@ fn typed_errors_are_identical_at_1_2_and_8_threads() {
 fn zero_copy_iterator_collected_ids_and_size_agree() {
     let w = streams::random_churn(100, 2, 200, 8, 30, 0.5, 21);
     for mut engine in engines_for(&w, 7) {
-        w.drive(engine.as_mut()).unwrap();
+        engine.apply_all(&w.batches).unwrap();
         let via_iter: usize = engine.matching().count();
         let collected = engine.matching_ids();
         assert_eq!(via_iter, collected.len(), "{}", engine.name());
@@ -375,7 +373,7 @@ fn metrics_count_updates_uniformly_across_engines() {
     let total = w.total_updates() as u64;
     let insertions = w.total_insertions() as u64;
     for mut engine in engines_for(&w, 9) {
-        let reports = w.drive(engine.as_mut()).unwrap();
+        let reports = engine.apply_all(&w.batches).unwrap();
         let metrics = engine.metrics();
         assert_eq!(metrics.batches, w.batches.len() as u64, "{}", engine.name());
         assert_eq!(metrics.updates, total, "{}", engine.name());
@@ -544,7 +542,7 @@ fn lossy_ingest_commits_the_same_surviving_subset_with_identical_rejections() {
                 Update::Insert(HyperEdge::pair(EdgeId(1), VertexId(2), VertexId(3))),
             ])
             .unwrap();
-        let report = engine.apply_batch_lossy(&dirty).unwrap();
+        let report = engine.apply_batch_lossy(&dirty);
         assert_eq!(report.batch.batch_size, 4, "{name}");
         assert_eq!(report.deduplicated, 2, "{name}");
         assert_eq!(report.offered(), dirty.len(), "{name}");
@@ -564,29 +562,20 @@ fn lossy_ingest_commits_the_same_surviving_subset_with_identical_rejections() {
 }
 
 #[test]
-fn staged_sessions_deduplicate_identically_for_every_engine() {
+fn lossy_sift_deduplicates_identically_for_every_engine() {
     let builder = EngineBuilder::new(8).rank(2).seed(11);
     for kind in EngineKind::ALL {
         let mut engine = engine::build(kind, &builder);
         let name = engine.name();
-        let mut session = BatchSession::new(&mut *engine);
         let e0 = HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1));
-        assert!(session.stage(Update::Insert(e0.clone())).unwrap(), "{name}");
-        assert!(
-            !session.stage(Update::Insert(e0)).unwrap(),
-            "{name}: exact dup drops"
-        );
-        assert!(session
-            .stage(Update::Insert(HyperEdge::pair(
-                EdgeId(1),
-                VertexId(2),
-                VertexId(3)
-            )))
-            .unwrap());
-        assert_eq!(session.len(), 2, "{name}");
-        assert_eq!(session.deduplicated(), 1, "{name}");
-        let report = session.commit().unwrap();
-        assert_eq!(report.batch_size, 2, "{name}");
+        let report = engine.apply_batch_lossy(&[
+            Update::Insert(e0.clone()),
+            Update::Insert(e0), // exact dup drops
+            Update::Insert(HyperEdge::pair(EdgeId(1), VertexId(2), VertexId(3))),
+        ]);
+        assert_eq!(report.deduplicated, 1, "{name}: exact dup drops");
+        assert!(report.rejected.is_empty(), "{name}");
+        assert_eq!(report.batch.batch_size, 2, "{name}");
         assert_eq!(engine.matching_size(), 2, "{name}");
     }
 }

@@ -4,15 +4,15 @@
 //! * **journal → replay is bit-identical**: drain a churn workload through a
 //!   service, replay its journal on a fresh engine of the same kind and seed,
 //!   and the matching, committed count and metrics all match exactly;
-//! * **incremental commit conforms**: a long-lived `BatchSession` draining
-//!   chunks through `commit_staged()` equals the same chunks through plain
-//!   `apply_batch`, and a single `commit_staged()` equals one big `commit()`;
+//! * **lossy commit conforms**: a service draining clean chunks through
+//!   `drain_lossy()` equals the same chunks through plain `apply_batch`, and a
+//!   single `apply_batch_lossy` equals one big `apply_batch`;
 //! * **concurrent snapshot consistency**: readers on the in-tree work-stealing
 //!   pool sample snapshots while batches commit; every observed snapshot must
 //!   be exactly the (valid, maximal) matching of some committed prefix, and
 //!   each reader's view must advance monotonically.
 
-use pdmm::engine::{self, BatchSession};
+use pdmm::engine;
 use pdmm::hypergraph::streams::{self, Workload};
 use pdmm::hypergraph::verify_maximality;
 use pdmm::prelude::*;
@@ -94,63 +94,56 @@ fn replay_on_a_different_engine_rebuilds_the_same_graph() {
 }
 
 #[test]
-fn commit_staged_chunks_equal_plain_apply_batch_on_every_engine() {
+fn lossy_drained_chunks_equal_plain_apply_batch_on_every_engine() {
     let workload = serve_workload();
     for threads in THREAD_COUNTS {
         for kind in EngineKind::ALL {
             let builder = builder_for(&workload, 11, threads);
 
-            let mut via_session = engine::build(kind, &builder);
+            let service = EngineService::new(engine::build(kind, &builder));
             let mut via_apply = engine::build(kind, &builder);
-            let mut session = BatchSession::new(&mut *via_session);
             for (i, batch) in workload.batches.iter().enumerate() {
-                session
-                    .stage_all(batch.iter().cloned())
-                    .unwrap_or_else(|e| panic!("{kind} refused staging batch {i}: {e}"));
-                let incremental = session
-                    .commit_staged()
-                    .unwrap_or_else(|e| panic!("{kind} refused commit_staged of batch {i}: {e}"));
+                service.submit(batch.clone());
+                let drained = service.drain_lossy();
+                assert_eq!(drained.len(), 1, "{kind}: one drained batch");
+                assert!(
+                    drained[0].rejected.is_empty() && drained[0].deduplicated == 0,
+                    "{kind} refused part of clean batch {i}"
+                );
                 let plain = via_apply.apply_batch(batch).unwrap();
                 assert_eq!(
-                    incremental, plain,
+                    drained[0].batch, plain,
                     "{kind} at {threads} threads diverged on the report of batch {i}"
                 );
             }
-            session.abort();
-            let mut a = via_session.matching_ids();
+            let mut a = service.snapshot().edge_ids();
             let mut b = via_apply.matching_ids();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(
                 a, b,
-                "{kind} at {threads} threads: incremental commit changed the matching"
+                "{kind} at {threads} threads: the lossy drain changed the matching"
             );
-            assert_eq!(via_session.metrics(), via_apply.metrics(), "{kind}");
+            assert_eq!(service.snapshot().metrics(), via_apply.metrics(), "{kind}");
         }
     }
 }
 
 #[test]
-fn one_commit_staged_equals_one_big_commit_on_every_engine() {
-    // The degenerate boundary: everything staged, committed once.
+fn one_lossy_apply_equals_one_big_apply_batch_on_every_engine() {
+    // The degenerate boundary: everything offered at once, committed once.
     let edges = pdmm::hypergraph::generators::gnm_graph(80, 300, 5, 0);
     let updates: Vec<Update> = edges.into_iter().map(Update::Insert).collect();
     for kind in EngineKind::ALL {
         let builder = EngineBuilder::new(80).seed(5);
         let mut one_big = engine::build(kind, &builder);
-        let mut incremental = engine::build(kind, &builder);
+        let mut lossy = engine::build(kind, &builder);
 
-        let mut session = BatchSession::new(&mut *one_big);
-        session.stage_all(updates.iter().cloned()).unwrap();
-        let commit_report = session.commit().unwrap();
+        let commit_report = one_big.apply_batch(&updates).unwrap();
+        let lossy_report = lossy.apply_batch_lossy(&updates);
 
-        let mut session = BatchSession::new(&mut *incremental);
-        session.stage_all(updates.iter().cloned()).unwrap();
-        let staged_report = session.commit_staged().unwrap();
-        session.abort();
-
-        assert_eq!(commit_report, staged_report, "{kind}");
-        assert_eq!(one_big.matching_ids(), incremental.matching_ids(), "{kind}");
+        assert_eq!(commit_report, lossy_report.batch, "{kind}");
+        assert_eq!(one_big.matching_ids(), lossy.matching_ids(), "{kind}");
     }
 }
 

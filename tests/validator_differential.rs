@@ -1,23 +1,23 @@
 //! Differential test pinning the two batch-validation paths together.
 //!
 //! The engine layer validates updates in two places: [`validate_batch`]
-//! (whole-batch, used by the shared `run_batch` scaffold inside every
-//! `apply_batch`) and [`BatchSession::stage`] (incremental, used by the staged
+//! (whole-batch, behind every `MatchingEngine::validate` and so every
+//! `apply_batch`) and [`BatchLedger::sift`] (incremental, behind the lossy
 //! ingest path).  Both are built on the same `BatchLedger` machine; this test
 //! drives random dirty update sequences — duplicates, reinserts, rank and
 //! vertex violations, delete-then-insert and insert-then-delete chains —
 //! through both paths and asserts they agree exactly:
 //!
-//! * every update a strict session rejects would make the staged batch fail
+//! * every update the sift rejects would make the kept batch fail
 //!   `validate_batch` with the *same* error;
-//! * every update a session deduplicates is a `Duplicate*` under
+//! * every update the sift deduplicates is a `Duplicate*` under
 //!   `validate_batch`, naming the same edge;
-//! * after every accepted update, the staged prefix passes `validate_batch`;
-//! * strict and lossy sessions stage the same subset, lossy collecting exactly
-//!   the errors the strict session returned;
-//! * the final staged batch passes engine validation and commits cleanly.
+//! * after every kept update, the kept prefix passes `validate_batch`;
+//! * the strict path (`apply_batch` of the kept subset) and the lossy path
+//!   (`apply_batch_lossy` of everything) commit the same batch and reach the
+//!   same matching.
 
-use pdmm::engine::{self, validate_batch, BatchError, BatchSession, MatchingEngine};
+use pdmm::engine::{self, validate_batch, BatchError, BatchLedger, MatchingEngine, Sifted};
 use pdmm::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -62,7 +62,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn session_and_validate_batch_agree_on_random_dirty_streams(
+    fn sift_and_validate_batch_agree_on_random_dirty_streams(
         raw in proptest::collection::vec(
             (0u8..4, 0u64..8, 0u32..8, 0u32..8, 0u32..8),
             1..40,
@@ -72,72 +72,68 @@ proptest! {
             .into_iter()
             .map(|(op, id, a, b, c)| decode(op, id, a, b, c))
             .collect();
+        let sift = |offered: &[Update]| -> Sifted {
+            BatchLedger::sift(
+                offered.iter().cloned(),
+                |u| is_live(u.edge_id()),
+                MAX_RANK,
+                NUM_VERTICES,
+            )
+        };
 
-        // Strict session against the static-recompute engine (deterministic).
-        let mut strict_engine = primed_engine(EngineKind::StaticRecompute);
-        let mut strict = BatchSession::new(&mut *strict_engine);
-        let mut accepted: Vec<Update> = Vec::new();
-        let mut strict_errors: Vec<BatchError> = Vec::new();
-        for update in &updates {
-            match strict.stage(update.clone()) {
-                Ok(true) => {
-                    accepted.push(update.clone());
-                    // Invariant: every session-accepted prefix passes the
-                    // engine-side whole-batch validation.
-                    prop_assert_eq!(
-                        validate_batch(&accepted, is_live, MAX_RANK, NUM_VERTICES),
-                        Ok(())
-                    );
-                }
-                Ok(false) => {
-                    // Deduplicated: as a raw batch element it would be a
-                    // Duplicate* error naming the same edge.
-                    let mut with = accepted.clone();
-                    with.push(update.clone());
-                    let err = validate_batch(&with, is_live, MAX_RANK, NUM_VERTICES)
-                        .expect_err("a deduplicated update must be a strict duplicate");
-                    let id = update.edge_id();
-                    prop_assert!(
-                        err == BatchError::DuplicateEdgeId { id }
-                            || err == BatchError::DuplicateDeletion { id },
-                        "dedup of {:?} maps to non-duplicate error {:?}",
-                        update,
-                        err
-                    );
-                }
-                Err(error) => {
-                    // Rejected: appending it to the accepted prefix must fail
-                    // whole-batch validation with the identical error.
-                    let mut with = accepted.clone();
-                    with.push(update.clone());
-                    prop_assert_eq!(
-                        validate_batch(&with, is_live, MAX_RANK, NUM_VERTICES),
-                        Err(error.clone())
-                    );
-                    strict_errors.push(error);
-                }
+        // Sift every prefix: the bucket that grows classifies the new update.
+        let mut before = sift(&[]);
+        for (index, update) in updates.iter().enumerate() {
+            let after = sift(&updates[..=index]);
+            let mut with = before.kept.clone();
+            with.push(update.clone());
+            if after.kept.len() > before.kept.len() {
+                // Kept: the kept prefix passes whole-batch validation.
+                prop_assert_eq!(&after.kept, &with);
+                prop_assert_eq!(
+                    validate_batch(&after.kept, is_live, MAX_RANK, NUM_VERTICES),
+                    Ok(())
+                );
+            } else if after.deduplicated > before.deduplicated {
+                // Deduplicated: as a raw batch element it would be a
+                // Duplicate* error naming the same edge.
+                let err = validate_batch(&with, is_live, MAX_RANK, NUM_VERTICES)
+                    .expect_err("a deduplicated update must be a strict duplicate");
+                let id = update.edge_id();
+                prop_assert!(
+                    err == BatchError::DuplicateEdgeId { id }
+                        || err == BatchError::DuplicateDeletion { id },
+                    "dedup of {:?} maps to non-duplicate error {:?}",
+                    update,
+                    err
+                );
+            } else {
+                // Rejected: appending it to the kept prefix must fail
+                // whole-batch validation with the identical error.
+                let rejected = after.rejected.last().expect("one bucket grows");
+                prop_assert_eq!(rejected.index, index);
+                prop_assert_eq!(&rejected.update, update);
+                prop_assert_eq!(
+                    validate_batch(&with, is_live, MAX_RANK, NUM_VERTICES),
+                    Err(rejected.error.clone())
+                );
             }
+            before = after;
         }
-
-        // The lossy session stages exactly the same subset and collects
-        // exactly the errors the strict session returned.
-        let mut lossy_engine = primed_engine(EngineKind::StaticRecompute);
-        let mut lossy = BatchSession::lossy(&mut *lossy_engine);
-        for update in &updates {
-            let staged = lossy.stage(update.clone());
-            prop_assert!(staged.is_ok(), "lossy staging returned {:?}", staged);
-        }
-        prop_assert_eq!(lossy.staged(), accepted.as_slice());
-        let lossy_errors: Vec<BatchError> =
-            lossy.rejected().iter().map(|r| r.error.clone()).collect();
-        prop_assert_eq!(lossy_errors, strict_errors);
+        let accepted = before.kept;
 
         // Both commits succeed, and being the same deterministic engine fed
         // the same surviving batch, they agree on the resulting matching.
-        let strict_report = strict.commit().expect("strict staged batch must commit");
-        let lossy_report = lossy.commit_lossy().expect("lossy staged batch must commit");
+        let mut strict_engine = primed_engine(EngineKind::StaticRecompute);
+        let mut lossy_engine = primed_engine(EngineKind::StaticRecompute);
+        let strict_report = strict_engine
+            .apply_batch(&accepted)
+            .expect("the kept subset must commit");
+        let lossy_report = lossy_engine.apply_batch_lossy(&updates);
         prop_assert_eq!(strict_report.batch_size, accepted.len());
         prop_assert_eq!(strict_report, lossy_report.batch);
+        prop_assert_eq!(lossy_report.deduplicated, before.deduplicated);
+        prop_assert_eq!(lossy_report.rejected, before.rejected);
         let mut a = strict_engine.matching_ids();
         let mut b = lossy_engine.matching_ids();
         a.sort_unstable();
